@@ -15,8 +15,9 @@ all read naturally.  ">" may be written U+27E9 and "sqrt" as U+221A (the
 radical accepts either parentheses or a single following factor).  Scalars mix
 freely with kets through + - * / except that kets cannot multiply or divide
 each other, every ket in one expression must have the same number of bits,
-and division by an exact scalar zero is rejected.  All failures raise
-ParseError carrying the 1-based line and column of the offending token.
+and division by an exact scalar zero is rejected.  Parentheses and radicals
+nest at most MAX_NESTING deep.  All failures raise ParseError carrying the
+1-based line and column of the offending token.
 """
 
 import re
@@ -27,6 +28,10 @@ from .states import MAX_QUBITS, make_state
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_]+")
+
+# Each nesting level takes a few stack frames of the recursive-descent
+# parser; the cap keeps deep input well inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -147,6 +152,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -201,7 +207,14 @@ class _Parser:
         while self.peek().kind in ("MINUS", "PLUS"):
             if self.advance().kind == "MINUS":
                 flip = not flip
+        # Every nesting level, whether (...), sqrt(...) or a radical, passes
+        # through here once.
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        self.depth += 1
         value = self.atom()
+        self.depth -= 1
         if flip:
             if value.is_scalar:
                 return _scalar(-value.scalar)

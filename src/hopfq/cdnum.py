@@ -131,45 +131,68 @@ def _check_levels(x, y):
 
 def _conj_coeffs(c):
     out = -c
-    out[0] = c[0]
+    out[..., 0] = c[..., 0]
     return out
 
 
 def _mul_recursive(a, b):
-    # The doubling rule verbatim; authoritative definition of the product.
-    n = a.shape[0]
+    # The doubling rule verbatim, along the last axis of broadcastable
+    # arrays; authoritative definition of the product and the test oracle.
+    n = a.shape[-1]
     if n == 1:
         return a * b
     h = n // 2
-    a1, a2 = a[:h], a[h:]
-    b1, b2 = b[:h], b[h:]
+    a1, a2 = a[..., :h], a[..., h:]
+    b1, b2 = b[..., :h], b[..., h:]
     lo = _mul_recursive(a1, b1) - _mul_recursive(_conj_coeffs(b2), a2)
     hi = _mul_recursive(b2, a1) + _mul_recursive(a2, _conj_coeffs(b1))
-    return np.concatenate([lo, hi])
+    return np.concatenate([lo, hi], axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
-def _structure_tensor(level):
-    # T[k, a, b] = sign of i_a * i_b if a XOR b == k else 0, derived by
-    # multiplying basis units with the recursive rule.
+def _sign_table(level):
+    """Read-only int8 table S with i_a * i_b = S[a, b] * i_(a XOR b).
+
+    Derived from one broadcast product of every pair of basis units under
+    the recursive rule.
+    """
     m = 1 << level
-    t = np.zeros((m, m, m))
     eye = np.eye(m)
-    for a in range(m):
-        for b in range(m):
-            prod = _mul_recursive(eye[a], eye[b])
-            k = a ^ b
-            t[k, a, b] = prod[k]
-    return t
+    prod = _mul_recursive(eye[:, None, :], eye[None, :, :])
+    a, b = np.indices((m, m))
+    table = prod[a, b, a ^ b].astype(np.int8)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _xor_terms(level):
+    # Term (a, k) of product coefficient k is S[a, a^k] * x[a] * y[a^k].
+    a, k = np.indices((1 << level, 1 << level))
+    gather = a ^ k
+    signs = _sign_table(level)[a, gather].astype(np.float64)
+    gather.setflags(write=False)
+    signs.setflags(write=False)
+    return gather, signs
+
+
+def _mul(x, y):
+    """Products of coefficient arrays of shape (..., 2**level), broadcast.
+
+    The terms are laid out as (..., a, k) and summed over a, the second to
+    last axis.  That strided reduction adds the terms of every row in the
+    same order whatever the leading shape, so a row's product is bit for bit
+    the same alone or in a batch; a reduction over a contiguous last axis
+    is not.
+    """
+    gather, signs = _xor_terms(x.shape[-1].bit_length() - 1)
+    return (signs * x[..., :, None] * y[..., gather]).sum(axis=-2)
 
 
 def cd_mul(x, y):
     """Product of two same-level elements under the fixed doubling convention."""
     _check_levels(x, y)
-    if x.level == 0:
-        return CDElement(0, x.coeffs * y.coeffs)
-    out = np.einsum("kab,a,b->k", _structure_tensor(x.level), x.coeffs, y.coeffs)
-    return CDElement(x.level, out)
+    return CDElement(x.level, _mul(x.coeffs, y.coeffs))
 
 
 def cd_conj(x):
@@ -197,14 +220,14 @@ def cd_inverse(x):
 def basis_product_table(level):
     """All basis products as rows (a, b, sign, index) with i_a*i_b = sign*i_index."""
     m = 1 << level
-    t = _structure_tensor(level) if level > 0 else None
-    rows = []
-    for a in range(m):
-        for b in range(m):
-            k = a ^ b
-            sign = 1 if level == 0 else int(t[k, a, b])
-            rows.append((a, b, sign, k))
-    return rows
+    signs = _sign_table(level)
+    return [(a, b, int(signs[a, b]), a ^ b) for a in range(m) for b in range(m)]
+
+
+# Rows of two-term elements multiplied per step of the census.  The step's
+# term array holds rows * 240 * 16 * 16 doubles at level 4 (1 MB at 2 rows),
+# so small blocks keep the census from raising the process's peak memory.
+_CENSUS_BLOCK = 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,15 +239,14 @@ def find_basis_zero_divisors(level):
     is the first with zero divisors.
     """
     m = 1 << level
-    two_term = [
-        ((a, s, b), basis(level, a) + float(s) * basis(level, b))
-        for a in range(m)
-        for b in range(a + 1, m)
-        for s in (1, -1)
-    ]
+    keys = [(a, s, b) for a in range(m) for b in range(a + 1, m) for s in (1, -1)]
+    elements = np.zeros((len(keys), m))
+    for row, (a, s, b) in enumerate(keys):
+        elements[row, a] = 1.0
+        elements[row, b] = float(s)
     found = []
-    for key_x, x in two_term:
-        for key_y, y in two_term:
-            if cd_mul(x, y).is_zero():
-                found.append((key_x, key_y))
+    for start in range(0, len(keys), _CENSUS_BLOCK):
+        prod = _mul(elements[start:start + _CENSUS_BLOCK, None, :], elements[None, :, :])
+        zero_x, zero_y = np.nonzero(np.max(np.abs(prod), axis=-1) < ZERO_TOL)
+        found += [(keys[start + i], keys[j]) for i, j in zip(zero_x, zero_y)]
     return tuple(found)

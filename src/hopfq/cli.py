@@ -25,7 +25,7 @@ from .reporting import (
     rows_to_csv,
     rows_to_json,
     rows_to_text,
-    sample_table,
+    sample_rows,
 )
 from .states import StateError, read_state_file
 
@@ -36,13 +36,14 @@ EXIT_NUMERIC = 3
 EXIT_STRICT = 4
 
 
-def _emit(text, out_path):
+def _emit(chunks, out_path):
+    """Write an iterable of strings to out_path, or to standard output."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return EXIT_OK
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_STATE
@@ -76,7 +77,7 @@ def cmd_analyze(args):
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
-    return _emit(text, args.out)
+    return _emit([text], args.out)
 
 
 def cmd_verify_paper(args):
@@ -87,7 +88,7 @@ def cmd_verify_paper(args):
         text = rows_to_csv(rows)
     else:
         text = rows_to_text(rows)
-    code = _emit(text, args.out)
+    code = _emit([text], args.out)
     if code == EXIT_OK and args.strict and any(not r.match for r in rows):
         return EXIT_STRICT
     return code
@@ -100,7 +101,7 @@ def cmd_sample(args):
     if args.seed < 0:
         print("error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_STATE
-    return _emit(sample_table(args.qubits, args.count, args.seed), args.out)
+    return _emit(sample_rows(args.qubits, args.count, args.seed), args.out)
 
 
 def _format_pair(pair):
@@ -115,7 +116,7 @@ def cmd_zero_divisors(args):
         rows = basis_product_table(args.level)
         lines = ["a,b,sign,index"]
         lines += [f"{a},{b},{'+' if s > 0 else '-'},{k}" for a, b, s, k in rows]
-        return _emit("\n".join(lines) + "\n", args.out)
+        return _emit(["\n".join(lines) + "\n"], args.out)
     lines = []
     for level in range(1, MAX_LEVEL + 1):
         pairs = find_basis_zero_divisors(level)
@@ -127,7 +128,7 @@ def cmd_zero_divisors(args):
                 f"level {level} ({name}): {len(pairs)} two-term basis zero-divisor pairs"
             )
             lines += ["  " + _format_pair(p) for p in pairs]
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _emit(["\n".join(lines) + "\n"], args.out)
 
 
 def build_parser():

@@ -21,14 +21,25 @@ e_complement is the headline E in reports.
 
 import numpy as np
 
-from .cdnum import CDElement, basis, cd_conj, cd_mul, cd_norm_sq, from_complex_pairs
-from .states import encode_pair
+from .cdnum import (
+    CDElement,
+    _conj_coeffs,
+    _mul,
+    basis,
+    cd_conj,
+    cd_mul,
+    cd_norm_sq,
+    from_complex_pairs,
+)
+from .states import _encode_pairs
 
 E_SNAP_WINDOW = 1e-9
+_MES_TOL = 1e-9
 
 
 class BaseCoordinates:
-    """Base-point data for one state: delta, comps, and the E aggregates."""
+    """Base-point data: delta, comps, and the E aggregates, as floats (comps
+    an array) for one state or as arrays with one row per state for many."""
 
     __slots__ = ("n", "delta", "comps", "e_complement", "e_sum", "norm_defect")
 
@@ -41,22 +52,40 @@ class BaseCoordinates:
         self.norm_defect = norm_defect
 
 
-def base_coordinates(state):
-    """Project a state to its base-sphere coordinates (pure quadratic forms).
+def _base_coordinates(amps):
+    """Base-point data of (N, 2**n) amplitudes: BaseCoordinates of arrays.
 
+    delta, e_complement, e_sum and norm_defect have shape (N,), comps
+    (N, 2**n).  Every row is bit for bit the row of that state alone.
     u2 = 0 needs no special casing: P vanishes and delta = +1, the north pole.
     """
-    enc = encode_pair(state)
-    p = cd_mul(enc.u2, cd_conj(enc.u1))
-    comps = 2.0 * p.coeffs
-    n1 = cd_norm_sq(enc.u1)
-    n2 = cd_norm_sq(enc.u2)
+    u1, u2 = _encode_pairs(amps)
+    p = _mul(u2, _conj_coeffs(u1))
+    comps = 2.0 * p
+    tail = comps.copy()
+    tail[:, :2] = 0.0
+    # Squares laid out as (N, 2**n, 4) and summed over the coefficient axis,
+    # not the last one, so each row's sums do not depend on N (see cdnum._mul).
+    terms = np.stack([u1, u2, p, tail], axis=-1)
+    n1, n2, p_sq, e_sum = (terms * terms).sum(axis=-2).T
     delta = n1 - n2
-    e_complement = 1.0 - delta * delta - comps[0] ** 2 - comps[1] ** 2
-    e_sum = float(np.dot(comps[2:], comps[2:]))
-    norm_defect = 4.0 * (n1 * n2 - cd_norm_sq(p))
+    e_complement = 1.0 - delta * delta - comps[:, 0] ** 2 - comps[:, 1] ** 2
+    norm_defect = 4.0 * (n1 * n2 - p_sq)
     return BaseCoordinates(
-        state.n, float(delta), comps, float(e_complement), e_sum, float(norm_defect)
+        amps.shape[-1].bit_length() - 1, delta, comps, e_complement, e_sum, norm_defect
+    )
+
+
+def base_coordinates(state):
+    """Project a state to its base-sphere coordinates (pure quadratic forms)."""
+    bc = _base_coordinates(state.amps[None])
+    return BaseCoordinates(
+        state.n,
+        float(bc.delta[0]),
+        bc.comps[0],
+        float(bc.e_complement[0]),
+        float(bc.e_sum[0]),
+        float(bc.norm_defect[0]),
     )
 
 
@@ -71,16 +100,20 @@ def _snap_unit(v, window=E_SNAP_WINDOW):
     return v
 
 
-def e_measure(state):
-    """Both E expressions plus the norm defect: (e_complement, e_sum, defect)."""
-    if state.n < 2:
-        raise ValueError("entanglement measure needs at least 2 qubits")
-    bc = base_coordinates(state)
+def _e_values(bc):
+    # (e_complement, e_sum, defect) of one state's base coordinates.
     return (
         float(_snap_unit(bc.e_complement)),
         float(_snap_unit(bc.e_sum)),
         float(bc.norm_defect),
     )
+
+
+def e_measure(state):
+    """Both E expressions plus the norm defect: (e_complement, e_sum, defect)."""
+    if state.n < 2:
+        raise ValueError("entanglement measure needs at least 2 qubits")
+    return _e_values(base_coordinates(state))
 
 
 def _quotient_blocks_2(amps):
@@ -151,15 +184,22 @@ def hopf_quotient(state):
     raise ValueError("quotient is defined for 2..4 qubits")
 
 
+def _ball(bc):
+    # The solid-ball point (comps[0], comps[1], delta) of one 4-qubit state.
+    return float(bc.comps[0]), float(bc.comps[1]), float(bc.delta)
+
+
+def _at_origin(ball, tol=_MES_TOL):
+    return all(abs(c) < tol for c in ball)
+
+
 def ball_coordinates(state):
     """The 4-qubit solid-ball point (comps[0], comps[1], delta)."""
     if state.n != 4:
         raise ValueError("ball coordinates are defined for 4 qubits")
-    bc = base_coordinates(state)
-    return float(bc.comps[0]), float(bc.comps[1]), float(bc.delta)
+    return _ball(base_coordinates(state))
 
 
-def is_mes(state, tol=1e-9):
+def is_mes(state, tol=_MES_TOL):
     """Maximal-entanglement test: the ball point sits at the origin."""
-    x, y, z = ball_coordinates(state)
-    return bool(abs(x) < tol and abs(y) < tol and abs(z) < tol)
+    return _at_origin(ball_coordinates(state), tol)

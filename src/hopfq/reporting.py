@@ -12,15 +12,22 @@ import json
 import numpy as np
 
 from .braket import parse_amplitudes, parse_state
-from .fibration import ball_coordinates, base_coordinates, e_measure, is_mes
-from .states import QubitState, bring_to_front
+from .fibration import (
+    _at_origin,
+    _ball,
+    _base_coordinates,
+    _e_values,
+    base_coordinates,
+    e_measure,
+)
+from .states import QubitState, _random_amplitudes, bring_to_front
 from .tangles import (
+    _tau_first,
     classify_three,
     concurrence,
     separable_one_rest,
     tau_one_rest,
     three_tangle,
-    two_tangles,
 )
 
 MATCH_TOL = 1e-3
@@ -42,14 +49,14 @@ def analysis_report(state):
         "comps": [float(c) for c in bc.comps],
     }
     if n >= 2:
-        e_comp, e_sum, defect = e_measure(state)
+        e_comp, e_sum, defect = _e_values(bc)
         report["e_complement"] = e_comp
         report["e_sum"] = e_sum
         report["norm_defect"] = defect
     if n == 4:
-        x, y, z = ball_coordinates(state)
-        report["ball"] = [x, y, z]
-        report["mes"] = is_mes(state)
+        ball = _ball(bc)
+        report["ball"] = list(ball)
+        report["mes"] = _at_origin(ball)
     if n >= 2:
         report["tau_one_rest"] = [
             tau_one_rest(state, q) for q in range(n)
@@ -58,7 +65,8 @@ def analysis_report(state):
         report["concurrence"] = concurrence(state)
     if n == 3:
         report["three_tangle"] = three_tangle(state)
-        report["two_tangles"] = list(two_tangles(state))
+        # two_tangles(state) is the one-vs-rest tau of each qubit: reuse it.
+        report["two_tangles"] = list(report["tau_one_rest"])
     if n >= 2:
         report["separable"] = [
             separable_one_rest(state, q) for q in range(n)
@@ -270,17 +278,42 @@ def rows_to_json(rows):
     return json.dumps([r.as_dict() for r in rows], indent=2) + "\n"
 
 
+def _csv_quote(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
 def rows_to_csv(rows):
     out = io.StringIO()
     out.write("label,paper_value,computed_e_complement,computed_e_sum,oracle_tau,match,note\n")
     for r in rows:
-        note = '"' + r.note.replace('"', '""') + '"'
         out.write(
-            f"{r.label},{repr(r.paper_value)},{repr(r.computed_e_complement)},"
+            f"{_csv_quote(r.label)},{repr(r.paper_value)},{repr(r.computed_e_complement)},"
             f"{repr(r.computed_e_sum)},{repr(r.oracle_tau)},"
-            f"{'true' if r.match else 'false'},{note}\n"
+            f"{'true' if r.match else 'false'},{_csv_quote(r.note)}\n"
         )
     return out.getvalue()
+
+
+# States per step of sample_rows.  Each step holds a few (states, 16, 16)
+# arrays at n = 4 (0.5 MB each at 256 states), well under the text of a
+# 10**4-state table, so streaming the steps keeps peak memory down.
+_SAMPLE_CHUNK = 256
+
+
+def sample_rows(n, count, seed):
+    """The text of sample_table as a stream: the header line, then the rows
+    of each chunk of states as one string."""
+    yield "index,e_complement,e_sum,norm_defect,tau_a" + (",ball_radius" if n == 4 else "") + "\n"
+    for start in range(0, count, _SAMPLE_CHUNK):
+        indices = range(start, min(start + _SAMPLE_CHUNK, count))
+        amps = _random_amplitudes(n, seed, indices)
+        bc = _base_coordinates(amps)
+        columns = [bc.e_complement, bc.e_sum, bc.norm_defect, _tau_first(amps)]
+        if n == 4:
+            x, y, z = bc.comps[:, 0], bc.comps[:, 1], bc.delta
+            columns.append(np.sqrt(x * x + y * y + z * z))
+        rows = zip(indices, *(c.tolist() for c in columns))
+        yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def sample_table(n, count, seed):
@@ -289,23 +322,9 @@ def sample_table(n, count, seed):
     Values are the raw base-map quantities (no boundary snapping) so the
     defect identity e_complement - e_sum = norm_defect stays exact in the
     output; the tau column is the independent density-matrix value.
+    Row ``index`` is the state random_state(n, seed, index).
     """
-    from .states import random_state  # local import keeps module load light
-
-    lines = ["index,e_complement,e_sum,norm_defect,tau_a" + (",ball_radius" if n == 4 else "")]
-    for index in range(count):
-        state = random_state(n, seed, index=index)
-        bc = base_coordinates(state)
-        tau = tau_one_rest(state, 0)
-        row = (
-            f"{index},{repr(bc.e_complement)},{repr(bc.e_sum)},"
-            f"{repr(bc.norm_defect)},{repr(tau)}"
-        )
-        if n == 4:
-            radius = float(np.sqrt(bc.delta ** 2 + bc.comps[0] ** 2 + bc.comps[1] ** 2))
-            row += f",{repr(radius)}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    return "".join(sample_rows(n, count, seed))
 
 
 def analyze_state(state, qubit=0):

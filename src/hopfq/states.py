@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .cdnum import CDElement, cd_conj, from_complex_pairs, complex_pairs
+from .cdnum import CDElement
 
 MAX_QUBITS = 4
 
@@ -110,32 +110,32 @@ _HALF_CONJ = {
 }
 
 
+# _HALF_CONJ as signs on a half's interleaved (re, im) coefficients: -1 on
+# the imaginary part of each conjugated slot, +1 everywhere else.
+_PAIR_SIGNS = {
+    n: np.array([[1.0, -1.0 if conj else 1.0] for conj in slots]).ravel()
+    for n, slots in _HALF_CONJ.items()
+}
+
+
+def _encode_pairs(amps):
+    """The (u1, u2) coefficient arrays, each (N, 2**n), of (N, 2**n) amplitudes."""
+    n = amps.shape[-1].bit_length() - 1
+    coeffs = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
+    pairs = coeffs.reshape(-1, 2, 1 << n) * _PAIR_SIGNS[n]
+    return pairs[:, 0], pairs[:, 1]
+
+
 def encode_pair(state):
     """Encode a state into its (u1, u2) Cayley-Dickson pair."""
-    n = state.n
-    half = 1 << (n - 1)
-    conj_slots = _HALF_CONJ[n]
-    out = []
-    for lo in (0, half):
-        vals = np.array(state.amps[lo:lo + half], dtype=np.complex128)
-        for j in range(half):
-            if conj_slots[j]:
-                vals[j] = vals[j].conjugate()
-        out.append(from_complex_pairs(n, vals))
-    return PairEncoding(n, out[0], out[1])
+    u1, u2 = _encode_pairs(state.amps[None])
+    return PairEncoding(state.n, CDElement(state.n, u1[0]), CDElement(state.n, u2[0]))
 
 
 def decode_pair(enc):
     """Invert encode_pair back to the amplitude vector (exact, slot-wise)."""
-    n = enc.n
-    half = 1 << (n - 1)
-    conj_slots = _HALF_CONJ[n]
-    amps = np.empty(1 << n, dtype=np.complex128)
-    for lo, u in ((0, enc.u1), (half, enc.u2)):
-        vals = complex_pairs(u)
-        for j in range(half):
-            amps[lo + j] = vals[j].conjugate() if conj_slots[j] else vals[j]
-    return QubitState(n, amps, _norm_tol=None)
+    coeffs = np.stack([enc.u1.coeffs, enc.u2.coeffs]) * _PAIR_SIGNS[enc.n]
+    return QubitState(enc.n, coeffs.reshape(-1).view(np.complex128), _norm_tol=None)
 
 
 def permute_qubits(state, perm):
@@ -154,16 +154,35 @@ def bring_to_front(state, qubit):
     return permute_qubits(state, perm)
 
 
+def _random_amplitudes(n, seed, indices):
+    """Haar-random amplitudes, one (2**n,) row per index, as an (N, 2**n) array.
+
+    Row ``index`` draws 2**n real then 2**n imaginary standard Gaussians from
+    Philox keyed by SeedSequence(entropy=seed, spawn_key=(index,)), in one
+    standard_normal call (the same numbers as two calls of half the size),
+    and is normalized.
+    """
+    m = 1 << n
+    z = np.empty((len(indices), 2, m))
+    for row, index in enumerate(indices):
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+        np.random.Generator(np.random.Philox(ss)).standard_normal(out=z[row])
+    amps = z[:, 0] + 1j * z[:, 1]
+    # Squared real and imaginary parts as (N, 2**n, 2), summed over the
+    # amplitude axis: a reduction over a non-last axis, which adds each row
+    # in the same order whatever N is (see cdnum._mul).
+    parts = amps.view(np.float64).reshape(len(amps), m, 2)
+    sq = (parts * parts).sum(axis=-2)
+    return amps / np.sqrt(sq[:, 0] + sq[:, 1])[:, None]
+
+
 def random_state(n, seed, index=0):
     """Haar-random pure state: i.i.d. standard complex Gaussians, normalized.
 
     The generator is counter-based and keyed by (seed, index), so drawing
     sample ``index`` never depends on how many other samples were drawn.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    rng = np.random.Generator(np.random.Philox(ss))
-    z = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return QubitState(n, z / np.linalg.norm(z), _norm_tol=None)
+    return QubitState(n, _random_amplitudes(n, seed, [index])[0], _norm_tol=None)
 
 
 def basis_state(n, bits):
@@ -218,7 +237,7 @@ def state_from_json(text, normalize=False):
     if not isinstance(obj, dict) or "n" not in obj or "amplitudes" not in obj:
         raise StateError('state file must be an object with "n" and "amplitudes"')
     n = obj["n"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ShapeError("state file field 'n' must be an integer")
     pairs = obj["amplitudes"]
     try:

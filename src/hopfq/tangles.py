@@ -57,11 +57,31 @@ def two_tangles(state):
     return tuple(tau_one_rest(state, q) for q in range(3))
 
 
+def _tau_first(amps):
+    """4*det(rho) of the first qubit of each row of (N, 2**n) amplitudes.
+
+    With a, b the halves of a row, det(rho) = |a|^2 |b|^2 - |<a, b>|^2.
+    """
+    rows, half = len(amps), amps.shape[-1] // 2
+    parts = np.ascontiguousarray(amps).view(np.float64).reshape(rows, 2, half, 2)
+    # c[:, j] = (Re a_j, Im a_j, Re b_j, Im b_j); the sums of c c^T over the
+    # slot axis j, not the last axis, do not depend on N (see cdnum._mul).
+    c = parts.transpose(0, 2, 1, 3).reshape(rows, half, 4)
+    g = (c[:, :, :, None] * c[:, :, None, :]).sum(axis=1)
+    aa = g[:, 0, 0] + g[:, 1, 1]
+    bb = g[:, 2, 2] + g[:, 3, 3]
+    ab_re = g[:, 0, 2] + g[:, 1, 3]
+    ab_im = g[:, 0, 3] - g[:, 1, 2]
+    return 4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))
+
+
 def tau_one_rest(state, qubit):
     """One-vs-rest tangle 4*det(rho_qubit); equals the linear entropy measure."""
-    rho = partial_trace_to_single(state, qubit)
-    det = rho[0, 0].real * rho[1, 1].real - abs(rho[0, 1]) ** 2
-    return 4.0 * float(det)
+    if not 0 <= qubit < state.n:
+        raise ValueError(f"qubit index {qubit} out of range for n={state.n}")
+    order = [qubit] + [q for q in range(state.n) if q != qubit]
+    front = state.amps.reshape((2,) * state.n).transpose(order)
+    return float(_tau_first(front.reshape(1, -1))[0])
 
 
 def separable_one_rest(state, qubit, tol=SEP_TOL):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hopfq.braket import ParseError, format_state, parse_amplitudes, parse_state
+from hopfq.braket import MAX_NESTING, ParseError, format_state, parse_amplitudes, parse_state
 from hopfq.states import (
     NormalizationError,
     bell_state,
@@ -77,6 +77,22 @@ def test_implicit_multiplication():
 def test_nested_parentheses():
     n, amps = parse_amplitudes("((1/2)*(|00> + |01> + |10> + |11>))")
     assert np.array_equal(amps, [0.5, 0.5, 0.5, 0.5])
+
+
+def test_deep_nesting_is_a_parse_error():
+    # 2000 levels would overflow the recursive-descent stack; the cap turns
+    # that into a positioned error, for parentheses, sqrt() and radicals alike
+    for text in (
+        "(" * 2000 + "|0>" + ")" * 2000,
+        "sqrt(" * 2000 + "1" + ")" * 2000 + "|0>",
+        "\u221a" * 2000 + "2|0>",
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_amplitudes(text)
+        assert exc.value.line == 1 and exc.value.col > 1
+    depth = MAX_NESTING - 1
+    _, amps = parse_amplitudes("(" * depth + "|1>" + ")" * depth)
+    assert np.array_equal(amps, [0, 1])
 
 
 def test_leading_sign():

@@ -2,12 +2,17 @@ import importlib.resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hopfq
 from hopfq.cdnum import (
     CDElement,
     MAX_LEVEL,
     SingularElementError,
+    _mul,
+    _mul_recursive,
     basis,
     basis_product_table,
     cd_conj,
@@ -344,3 +349,30 @@ def test_is_zero_tolerance():
 def test_package_exports_algebra_names():
     for name in ("CDElement", "cd_mul", "cd_conj", "cd_inverse", "basis"):
         assert hasattr(hopfq, name)
+
+
+@st.composite
+def _element_batches(draw):
+    level = draw(st.integers(0, MAX_LEVEL))
+    shape = (draw(st.integers(1, 40)), 1 << level)
+    coeffs = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    return level, draw(arrays(np.float64, shape, elements=coeffs)), draw(
+        arrays(np.float64, shape, elements=coeffs)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_element_batches())
+def test_kernel_matches_recursive_rule_and_rows_are_batch_free(batch):
+    level, x, y = batch
+    prod = _mul(x, y)
+    # Both sum the same 2**level exact-sign terms per coefficient, in
+    # different orders: each is within (2**level) ulps of the term magnitudes.
+    tol = 2 * x.shape[-1] * np.finfo(float).eps * (
+        np.sum(np.abs(x), axis=-1) * np.max(np.abs(y), axis=-1)
+    )
+    assert np.all(np.abs(prod - _mul_recursive(x, y)) <= tol[:, None])
+    for row in range(len(x)):
+        alone = cd_mul(CDElement(level, x[row]), CDElement(level, y[row])).coeffs
+        assert alone.tobytes() == prod[row].tobytes()
+        assert _mul(x[row:row + 1], y[row:row + 1])[0].tobytes() == prod[row].tobytes()

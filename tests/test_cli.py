@@ -1,5 +1,8 @@
+import csv
+import hashlib
 import importlib.metadata
 import importlib.resources
+import io
 import json
 import pathlib
 import sys
@@ -143,6 +146,17 @@ def test_verify_json_and_csv(capsys):
     assert out.splitlines()[0].startswith("label,paper_value,")
 
 
+def test_verify_csv_parses_to_seven_fields(capsys):
+    # labels such as "Phi2 (4 qubits, as printed)" hold commas: quoted, every
+    # record keeps the header's 7 fields
+    code, out, _ = _run(capsys, "verify-paper", "--format", "csv")
+    assert code == 0
+    records = list(csv.reader(io.StringIO(out)))
+    assert len(records) == 11
+    assert all(len(record) == 7 for record in records)
+    assert records[5][0] == "Phi2 (4 qubits, as printed)"
+
+
 def test_verify_out_file(capsys, tmp_path):
     path = tmp_path / "table.csv"
     code, out, _ = _run(
@@ -192,6 +206,16 @@ def test_zero_divisor_census(capsys):
     assert "336 two-term basis zero-divisor pairs" in lines[3]
     assert "  (i3 + i10) * (i6 - i15) = 0" in lines
     assert len([ln for ln in lines if ln.startswith("  (")]) == 336
+
+
+def test_zero_divisor_census_output_is_pinned(capsys):
+    # byte for byte the census as first computed by contracting the dense
+    # structure tensor one pair at a time: same pairs, same order
+    code, out, _ = _run(capsys, "zero-divisors")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d15ab6f5b5bcc01a38e768f6cd40b1620987c1c32d86681261eb180ac4c2b2bd"
+    )
 
 
 def test_zero_divisor_table(capsys):

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 
-from hopfq.fibration import ball_coordinates, e_measure
+import hopfq.reporting
+from hopfq.fibration import ball_coordinates, base_coordinates, e_measure, is_mes
 from hopfq.reporting import (
     MATCH_TOL,
+    _SAMPLE_CHUNK,
     ConformanceRow,
     analysis_report,
     analyze_state,
@@ -14,6 +16,7 @@ from hopfq.reporting import (
     rows_to_csv,
     rows_to_json,
     rows_to_text,
+    sample_rows,
     sample_table,
 )
 from hopfq.states import (
@@ -213,3 +216,45 @@ def test_sample_table_column_identities():
         assert abs((float(e_comp) - float(e_sum)) - float(defect)) < 1e-12
         assert abs(float(radius) ** 2 - (1.0 - float(e_comp))) < 1e-12
         assert abs(float(e_comp) - float(tau)) < 1e-12
+
+
+def test_sample_rows_match_scalar_api():
+    # each batched row is byte for byte the row of that state alone, across
+    # a chunk boundary
+    count = _SAMPLE_CHUNK + 20
+    for n in (1, 2, 3, 4):
+        lines = sample_table(n, count, seed=31).splitlines()
+        assert len(lines) == count + 1
+        for index, line in enumerate(lines[1:]):
+            state = random_state(n, seed=31, index=index)
+            bc = base_coordinates(state)
+            row = [index, bc.e_complement, bc.e_sum, bc.norm_defect, tau_one_rest(state, 0)]
+            if n == 4:
+                x, y, z = ball_coordinates(state)
+                row.append(float(np.sqrt(x * x + y * y + z * z)))
+            assert line == ",".join(map(repr, row))
+
+
+def test_sample_rows_stream_one_string_per_chunk():
+    count = 2 * _SAMPLE_CHUNK + 1
+    chunks = list(sample_rows(2, count, seed=4))
+    assert len(chunks) == 4  # the header, then three chunks
+    assert [c.count("\n") for c in chunks] == [1, _SAMPLE_CHUNK, _SAMPLE_CHUNK, 1]
+    assert "".join(chunks) == sample_table(2, count, seed=4)
+
+
+def test_report_computes_base_coordinates_once(monkeypatch):
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return base_coordinates(state)
+
+    monkeypatch.setattr(hopfq.reporting, "base_coordinates", counted)
+    state = random_state(4, seed=5, index=2)
+    report = analysis_report(state)
+    assert len(calls) == 1
+    # the values derived from that one projection are the public functions'
+    assert (report["e_complement"], report["e_sum"], report["norm_defect"]) == e_measure(state)
+    assert tuple(report["ball"]) == ball_coordinates(state)
+    assert report["mes"] is is_mes(state)

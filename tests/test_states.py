@@ -9,6 +9,7 @@ from hopfq.states import (
     QubitState,
     ShapeError,
     StateError,
+    _random_amplitudes,
     basis_state,
     bell_state,
     bring_to_front,
@@ -168,6 +169,25 @@ def test_random_state_index_is_order_free():
         random_state(2, seed=9, index=k)
     again = random_state(2, seed=9, index=50)
     assert np.array_equal(fresh.amps, again.amps)
+
+
+def test_batched_draws_keep_per_index_keying():
+    indices = [0, 3, 7, 1000, 2**40]
+    batch = _random_amplitudes(4, 77, indices)
+    for row, index in zip(batch, indices):
+        # the documented keying: two draws of 2**n from Philox(seed, index)
+        ss = np.random.SeedSequence(entropy=77, spawn_key=(index,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        assert np.max(np.abs(row - z / np.linalg.norm(z))) < 1e-15
+        # and the scalar API is the same row, bit for bit
+        assert random_state(4, 77, index).amps.tobytes() == row.tobytes()
+
+
+def test_json_rejects_bool_qubit_count():
+    for flag in ("true", "false"):
+        with pytest.raises(ShapeError):
+            state_from_json('{"n": %s, "amplitudes": [[1, 0], [0, 0]]}' % flag)
 
 
 def test_product_state():
