@@ -16,10 +16,13 @@ radical accepts either parentheses or a single following factor).  Scalars mix
 freely with kets through + - * / except that kets cannot multiply or divide
 each other, every ket in one expression must have the same number of bits,
 and division by an exact scalar zero is rejected.  Parentheses and radicals
-nest at most MAX_NESTING deep.  All failures raise ParseError carrying the
-1-based line and column of the offending token.
+nest at most MAX_NESTING deep.  A number or an operation whose value leaves
+the float range (overflow, or infinity times zero) is rejected at that token.
+All failures raise ParseError carrying the 1-based line and column of the
+offending token.
 """
 
+import cmath
 import re
 
 import numpy as np
@@ -138,6 +141,18 @@ def _scalar(z):
     return _Value(scalar=complex(z))
 
 
+def _finite_scalar(z):
+    # Python complex arithmetic overflows to inf (or nan) silently; raise as
+    # numpy does for ket arithmetic inside _Parser.parse.
+    if not cmath.isfinite(z):
+        raise FloatingPointError("scalar out of floating-point range")
+    return _Value(scalar=z)
+
+
+def _out_of_range(op):
+    return ParseError("value out of floating-point range", op.line, op.col)
+
+
 def _ket(bits):
     amps = np.zeros(1 << len(bits), dtype=np.complex128)
     amps[int(bits, 2)] = 1.0
@@ -174,7 +189,11 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        value = self.expression()
+        # Ket arithmetic that leaves the float range raises FloatingPointError
+        # (scalar arithmetic raises it through _finite_scalar), which the
+        # operator loops turn into a ParseError at the operator.
+        with np.errstate(over="raise", invalid="raise"):
+            value = self.expression()
         tok = self.peek()
         if tok.kind != "EOF":
             raise ParseError(f"unexpected {tok.text!r} after expression", tok.line, tok.col)
@@ -185,22 +204,25 @@ class _Parser:
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.advance()
             rhs = self.product()
-            value = self._add(value, rhs, op, negate=op.kind == "MINUS")
+            try:
+                value = self._add(value, rhs, op, negate=op.kind == "MINUS")
+            except FloatingPointError:
+                raise _out_of_range(op) from None
         return value
 
     def product(self):
         value = self.unary()
         while True:
-            tok = self.peek()
-            if tok.kind in ("STAR", "SLASH"):
-                op = self.advance()
-                rhs = self.unary()
-                value = self._combine(value, rhs, op, divide=op.kind == "SLASH")
-            elif tok.kind in self._IMPLICIT:
-                rhs = self.unary()
-                value = self._combine(value, rhs, tok, divide=False)
-            else:
+            op = self.peek()
+            if op.kind in ("STAR", "SLASH"):
+                self.advance()
+            elif op.kind not in self._IMPLICIT:
                 return value
+            rhs = self.unary()
+            try:
+                value = self._combine(value, rhs, op, divide=op.kind == "SLASH")
+            except FloatingPointError:
+                raise _out_of_range(op) from None
 
     def unary(self):
         flip = False
@@ -224,7 +246,10 @@ class _Parser:
     def atom(self):
         tok = self.advance()
         if tok.kind == "NUMBER":
-            return _scalar(float(tok.text))
+            value = float(tok.text)
+            if not cmath.isfinite(value):
+                raise ParseError(f"number {tok.text} is out of range", tok.line, tok.col)
+            return _scalar(value)
         if tok.kind == "KET":
             return _ket(tok.text)
         if tok.kind == "LPAREN":
@@ -266,7 +291,7 @@ class _Parser:
         if lhs.is_scalar != rhs.is_scalar:
             raise ParseError("cannot add a scalar and a ket expression", op.line, op.col)
         if lhs.is_scalar:
-            return _scalar(lhs.scalar - rhs.scalar if negate else lhs.scalar + rhs.scalar)
+            return _finite_scalar(lhs.scalar - rhs.scalar if negate else lhs.scalar + rhs.scalar)
         if lhs.bits != rhs.bits:
             raise ParseError(
                 f"mixed ket lengths ({lhs.bits} and {rhs.bits} bits)", op.line, op.col
@@ -282,10 +307,10 @@ class _Parser:
             if rhs.scalar == 0:
                 raise ParseError("division by zero", op.line, op.col)
             if lhs.is_scalar:
-                return _scalar(lhs.scalar / rhs.scalar)
+                return _finite_scalar(lhs.scalar / rhs.scalar)
             return _Value(bits=lhs.bits, amps=lhs.amps / rhs.scalar)
         if lhs.is_scalar and rhs.is_scalar:
-            return _scalar(lhs.scalar * rhs.scalar)
+            return _finite_scalar(lhs.scalar * rhs.scalar)
         if lhs.is_scalar:
             return _Value(bits=rhs.bits, amps=lhs.scalar * rhs.amps)
         if rhs.is_scalar:

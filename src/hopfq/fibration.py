@@ -25,7 +25,7 @@ from .cdnum import (
     CDElement,
     _conj_coeffs,
     _mul,
-    basis,
+    _sign_table,
     cd_conj,
     cd_mul,
     cd_norm_sq,
@@ -164,24 +164,29 @@ def hopf_quotient(state):
         return from_complex_pairs(2, [num0, num1]), den
     if n == 3:
         blocks, den = _quotient_blocks_3(a)
-        num = None
-        for k, blk in enumerate(blocks):
-            piece = cd_mul(
-                from_complex_pairs(3, [blk, 0, 0, 0]),
-                basis(3, 2 * k),
-            )
-            num = piece if num is None else num + piece
-        return num, den
+        coeffs = [[z.real, z.imag] for z in blocks]
+        return _on_units(3, coeffs, (0, 2, 4, 6)), den
     if n == 4:
         blocks, den = _quotient_blocks_4(a)
-        num = None
-        for k, blk in enumerate(blocks):
-            emb = np.zeros(16)
-            emb[:4] = blk.coeffs
-            piece = cd_mul(CDElement(4, emb), basis(4, 4 * k))
-            num = piece if num is None else num + piece
-        return num, den
+        return _on_units(4, [b.coeffs for b in blocks], (0, 4, 8, 12)), den
     raise ValueError("quotient is defined for 2..4 qubits")
+
+
+def _on_units(level, blocks, units):
+    """The element sum_k x_k * i_units[k], where block k holds the leading
+    coefficients of x_k.
+
+    Right multiplication by a basis unit i_b is a signed permutation:
+    i_a * i_b = S[a, b] * i_(a XOR b), so coefficient a of x_k lands at
+    a XOR b with the sign in column b of the sign table.  The units given
+    keep the blocks' slots apart.
+    """
+    signs = _sign_table(level)
+    out = np.zeros(1 << level)
+    for block, b in zip(blocks, units):
+        a = np.arange(len(block))
+        out[a ^ b] = signs[a, b] * np.asarray(block, dtype=np.float64)
+    return CDElement(level, out)
 
 
 def _ball(bc):

@@ -22,6 +22,7 @@ from .fibration import (
 )
 from .states import QubitState, _random_amplitudes, bring_to_front
 from .tangles import (
+    _classify_three,
     _tau_first,
     classify_three,
     concurrence,
@@ -72,7 +73,7 @@ def analysis_report(state):
             separable_one_rest(state, q) for q in range(n)
         ]
     if n == 3:
-        report["classification"] = classify_three(state)
+        report["classification"] = _classify_three(state, report["separable"])
     return report
 
 

@@ -51,7 +51,9 @@ class QubitState:
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise StateError("amplitudes must be finite")
         if _norm_tol is not None:
-            total = float(np.sum(np.abs(arr) ** 2))
+            # Past the float range the squared norm is inf, which fails the check.
+            with np.errstate(over="ignore"):
+                total = float(np.sum(np.abs(arr) ** 2))
             if abs(total - 1.0) >= _norm_tol:
                 raise NormalizationError(
                     f"squared norm is {total!r}, not 1; pass normalize=True to rescale"
@@ -72,18 +74,33 @@ def make_state(n, amps, normalize=False):
 
     Without ``normalize`` the squared norm must sit within 1e-6 of 1 and the
     amplitudes are stored verbatim, so round-trips through the text formats
-    stay bit-exact.  With ``normalize`` any nonzero vector is rescaled to unit
-    norm; a zero vector is rejected either way.
+    stay bit-exact; a norm below 1e-12 is rejected as numerically zero.  With
+    ``normalize`` any nonzero finite vector, at any scale the floats hold, is
+    rescaled to unit norm and validated again; only the zero vector is
+    rejected.
     """
     arr = np.asarray(amps, dtype=np.complex128)
     if arr.ndim != 1:
         raise ShapeError(f"amplitudes must be a flat vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if norm < 1e-12:
-        raise DegenerateStateError("amplitude vector is numerically zero")
-    if normalize:
-        return QubitState(n, arr / norm, _norm_tol=None)
-    return QubitState(n, arr)
+    if not normalize:
+        # A norm past the float range is inf, which QubitState rejects.
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
+        if norm < 1e-12:
+            raise DegenerateStateError("amplitude vector is numerically zero")
+        return QubitState(n, arr)
+    # Divide by the power of two of the largest real or imaginary part first:
+    # exact, so the norm neither overflows nor underflows, and for inputs whose
+    # norm is in range arr / norm(arr) keeps every bit.
+    parts = np.ascontiguousarray(arr).view(np.float64)
+    top = np.max(np.abs(parts), initial=0.0)
+    if not np.isfinite(top):
+        raise StateError("amplitudes must be finite")
+    unit = np.ldexp(parts, -np.frexp(top)[1]).view(np.complex128)
+    norm = float(np.linalg.norm(unit))
+    if norm == 0.0:
+        raise DegenerateStateError("amplitude vector is zero")
+    return QubitState(n, unit / norm, _norm_tol=NORM_TOL_STRICT)
 
 
 class PairEncoding:
@@ -154,19 +171,115 @@ def bring_to_front(state, qubit):
     return permute_qubits(state, perm)
 
 
+# numpy's SeedSequence hash: its constants, 32-bit words and the four-word
+# pool it mixes them into.  The algorithm is fixed by numpy's stream
+# compatibility policy; tests compare _philox_keys with SeedSequence itself.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_steps(const, mult):
+    # The (xor, multiply) constants of successive hash steps: each step
+    # multiplies the hash constant by `mult` between its xor and its multiply.
+    while True:
+        step = const * mult & _MASK32
+        yield const, step
+        const = step
+
+
+def _hashmix(value, xor, mul):
+    # On uint64 arrays holding 32-bit words.
+    value = ((value ^ xor) * mul) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _words(value):
+    # The little-endian 32-bit words of a nonnegative integer; 0 is one word.
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _step_array(steps, count):
+    # The next `count` steps as (xor, multiply) uint64 columns of shape (count, 1).
+    xor, mul = np.array([next(steps) for _ in range(count)], dtype=np.uint64).T
+    return xor[:, None], mul[:, None]
+
+
+# generate_state's steps, one per output word: four words make two uint64 keys.
+_OUTPUT_STEPS = _step_array(_hash_steps(_INIT_B, _MULT_B), _POOL_SIZE)
+
+
+def _philox_keys(seed, indices):
+    """The (N, 2) uint64 Philox keys of SeedSequence(entropy=seed,
+    spawn_key=(index,)).generate_state(2, np.uint64), one row per index.
+
+    A keyed sequence mixes the seed's words into its pool exactly as
+    SeedSequence(seed) does, and only then the spawn key's, so every row
+    starts from that one pool.  The hash constants do not depend on the data,
+    so each spawn word is then mixed into the four pool words of every index
+    at once, as (4, N) uint64 arrays of 32-bit words.  A row whose index has
+    fewer words than the widest one keeps its pool once its own words run out.
+    """
+    seed = int(seed)
+    index = [int(i) for i in indices]
+    if min(index, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    # The seed took one hash step per pool word for each of its words, and
+    # for at least as many words as the pool holds.
+    taken = _POOL_SIZE * max(_POOL_SIZE, len(_words(seed)))
+    steps = _hash_steps(_INIT_A * pow(_MULT_A, taken, 1 << 32) & _MASK32, _MULT_A)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    for k in range(len(_words(max(index, default=0)))):
+        word = np.array([i >> 32 * k & _MASK32 for i in index], dtype=np.uint64)
+        has_word = np.array([k == 0 or i >> 32 * k > 0 for i in index], dtype=bool)
+        mixed = _mix(pool, _hashmix(word, *_step_array(steps, _POOL_SIZE)))
+        pool = np.where(has_word, mixed, pool)
+    # Four 32-bit output words per row, read as two little-endian uint64s.
+    out = _hashmix(pool, *_OUTPUT_STEPS)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
 def _random_amplitudes(n, seed, indices):
     """Haar-random amplitudes, one (2**n,) row per index, as an (N, 2**n) array.
 
     Row ``index`` draws 2**n real then 2**n imaginary standard Gaussians from
     Philox keyed by SeedSequence(entropy=seed, spawn_key=(index,)), in one
     standard_normal call (the same numbers as two calls of half the size),
-    and is normalized.
+    and is normalized.  Every row re-keys one Philox with its key from
+    _philox_keys, a zero counter and an empty buffer, the state a new Philox
+    starts in.  The generator is local to the call, so concurrent calls share
+    no state.
     """
     m = 1 << n
-    z = np.empty((len(indices), 2, m))
-    for row, index in enumerate(indices):
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-        np.random.Generator(np.random.Philox(ss)).standard_normal(out=z[row])
+    keys = _philox_keys(seed, indices)
+    z = np.empty((len(keys), 2, m))
+    # Its seed is never drawn from: every row sets the whole state.
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for row, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.standard_normal(out=z[row])
     amps = z[:, 0] + 1j * z[:, 1]
     # Squared real and imaginary parts as (N, 2**n, 2), summed over the
     # amplitude axis: a reduction over a non-last axis, which adds each row

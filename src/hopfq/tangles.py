@@ -100,13 +100,15 @@ def classify_three(state, tol=SEP_TOL):
     """
     if state.n != 3:
         raise ValueError("classification is defined for 3 qubits")
-    for q in range(3):
-        if not separable_one_rest(state, q, tol):
-            continue
-        front = bring_to_front(state, q)
-        m = front.amps.reshape(2, 4)
-        rest = m[0] if np.linalg.norm(m[0]) >= np.linalg.norm(m[1]) else m[1]
-        if abs(rest[0] * rest[3] - rest[1] * rest[2]) < tol:
-            return "fully-separable"
-        return "bi-separable"
-    return "entangled"
+    return _classify_three(state, [separable_one_rest(state, q, tol) for q in range(3)], tol)
+
+
+def _classify_three(state, separable, tol=SEP_TOL):
+    # classify_three given separable_one_rest(state, q, tol) for each qubit q.
+    if not any(separable):
+        return "entangled"
+    m = bring_to_front(state, separable.index(True)).amps.reshape(2, 4)
+    rest = m[0] if np.linalg.norm(m[0]) >= np.linalg.norm(m[1]) else m[1]
+    if abs(rest[0] * rest[3] - rest[1] * rest[2]) < tol:
+        return "fully-separable"
+    return "bi-separable"

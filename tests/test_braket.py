@@ -203,6 +203,27 @@ def test_format_parse_round_trip_15_digits():
         assert np.max(np.abs(back.amps - s.amps)) < 1e-12
 
 
+def test_out_of_range_values_are_parse_errors():
+    # (text, column of the token where the value leaves the float range)
+    cases = [
+        ("1e308*10|0>", 6),
+        ("1e400|0>", 1),
+        ("|0> + √1e999|1>", 8),
+        ("(1e300|0>)*1e300", 11),
+        ("|0>/1e-320", 4),
+        ("1e308|0>+1e308|0>", 9),
+        ("1e200*1e200*0|0> + |1>", 6),
+        ("|0>*(1e300*1e300*i)", 11),
+    ]
+    for text, col in cases:
+        with pytest.raises(ParseError) as err:
+            parse_amplitudes(text)
+        assert (err.value.line, err.value.col) == (1, col), text
+    # tiny values stay in range and rescale
+    s = parse_state("1e-320|0> + 1e-320|1>", normalize=True)
+    assert np.max(np.abs(s.amps - R2)) < 1e-15
+
+
 def test_fuzz_never_crashes():
     # parser must be total: random byte soup either parses or raises ParseError
     rng = np.random.default_rng(2024)

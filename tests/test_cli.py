@@ -72,6 +72,29 @@ def test_analyze_invalid_state_exit_2(capsys):
     assert code == 0
 
 
+def test_analyze_normalize_at_extreme_scales(capsys):
+    # the norm of the first state overflows, that of the second underflows
+    for scale in ("1e200", "1e-170"):
+        code, out, err = _run(
+            capsys, "analyze", "--state", f"{scale}|00>+{scale}|11>", "--normalize"
+        )
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        r = 1 / np.sqrt(2)
+        assert np.allclose(report["amplitudes"], [[r, 0], [0, 0], [0, 0], [r, 0]], atol=1e-15)
+        assert report["e_complement"] == 1.0
+
+
+def test_analyze_out_of_range_input_is_a_typed_error(capsys):
+    # a RuntimeWarning would fail this test: the suite turns them into errors
+    code, out, err = _run(capsys, "analyze", "--state", "1e308*10|0>")
+    assert (code, out) == (1, "")
+    assert "column 6" in err and "range" in err and "Warning" not in err
+    code, out, err = _run(capsys, "analyze", "--state", "1e200|0>")
+    assert (code, out) == (2, "")
+    assert "normalize" in err and "Warning" not in err
+
+
 def test_analyze_qubit_out_of_range_exit_2(capsys):
     code, _, err = _run(
         capsys, "analyze", "--state", "|01>", "--qubit", "5"

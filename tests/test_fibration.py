@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hopfq.braket import parse_state
-from hopfq.cdnum import basis, cd_conj, cd_mul, cd_norm_sq
+from hopfq.cdnum import CDElement, basis, cd_conj, cd_mul, cd_norm_sq, from_complex_pairs
 from hopfq.fibration import (
     BaseCoordinates,
+    _quotient_blocks_3,
+    _quotient_blocks_4,
     ball_coordinates,
     base_coordinates,
     e_measure,
@@ -241,6 +243,24 @@ def test_quotient_no_global_sign_relation_4():
     ratio = num.coeffs[mask] / ref[mask]
     deviation = float(np.max(np.abs(np.abs(ratio) - 1.0)))
     assert deviation > 0.05
+
+
+def test_quotient_numerators_equal_the_product_form():
+    # the numerator is sum_k block_k * i_unit_k, once written with cd_mul
+    for n, step in ((3, 2), (4, 4)):
+        for k in range(60):
+            s = random_state(n, seed=70 + n, index=k)
+            if n == 3:
+                blocks, _ = _quotient_blocks_3(s.amps)
+                embed = [from_complex_pairs(3, [b, 0, 0, 0]) for b in blocks]
+            else:
+                blocks, _ = _quotient_blocks_4(s.amps)
+                embed = [CDElement(4, np.concatenate([b.coeffs, np.zeros(12)])) for b in blocks]
+            want = sum(
+                (cd_mul(x, basis(n, step * j)).coeffs for j, x in enumerate(embed)),
+                np.zeros(1 << n),
+            )
+            np.testing.assert_array_equal(hopf_quotient(s)[0].coeffs, want)
 
 
 def test_quotient_rejects_single_qubit():

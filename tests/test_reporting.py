@@ -3,6 +3,7 @@ import json
 import numpy as np
 
 import hopfq.reporting
+import hopfq.tangles
 from hopfq.fibration import ball_coordinates, base_coordinates, e_measure, is_mes
 from hopfq.reporting import (
     MATCH_TOL,
@@ -23,10 +24,17 @@ from hopfq.states import (
     bell_state,
     bring_to_front,
     ghz_state,
+    make_state,
     random_state,
     w_state,
 )
-from hopfq.tangles import concurrence, tau_one_rest, three_tangle
+from hopfq.tangles import (
+    classify_three,
+    concurrence,
+    separable_one_rest,
+    tau_one_rest,
+    three_tangle,
+)
 
 
 def test_report_keys_by_qubit_count():
@@ -258,3 +266,29 @@ def test_report_computes_base_coordinates_once(monkeypatch):
     assert (report["e_complement"], report["e_sum"], report["norm_defect"]) == e_measure(state)
     assert tuple(report["ball"]) == ball_coordinates(state)
     assert report["mes"] is is_mes(state)
+
+
+def test_report_tests_each_qubit_for_separability_once(monkeypatch):
+    r = 1 / np.sqrt(2)
+    cases = [
+        (ghz_state(3), [False, False, False], "entangled"),
+        (w_state(3), [False, False, False], "entangled"),
+        (make_state(3, [r, 0, 0, r, 0, 0, 0, 0]), [True, False, False], "bi-separable"),
+        (make_state(3, [0, 0, r, 0, 0, 0, 0, r]), [False, True, False], "bi-separable"),
+        (make_state(3, [0.5, 0.5, 0, 0, 0.5, 0.5, 0, 0]), [True, True, True], "fully-separable"),
+    ] + [(random_state(3, seed=12, index=k), [False] * 3, "entangled") for k in range(3)]
+    calls = []
+
+    def counted(state, qubit, tol=hopfq.tangles.SEP_TOL):
+        calls.append(qubit)
+        return separable_one_rest(state, qubit, tol)
+
+    for state, separable, label in cases:
+        monkeypatch.setattr(hopfq.reporting, "separable_one_rest", counted)
+        monkeypatch.setattr(hopfq.tangles, "separable_one_rest", counted)
+        calls.clear()
+        report = analysis_report(state)
+        assert calls == [0, 1, 2]
+        monkeypatch.undo()
+        assert report["separable"] == separable
+        assert report["classification"] == label == classify_three(state)

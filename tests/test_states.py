@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfq.cdnum import basis, complex_pairs, one
 from hopfq.states import (
@@ -9,6 +11,7 @@ from hopfq.states import (
     QubitState,
     ShapeError,
     StateError,
+    _philox_keys,
     _random_amplitudes,
     basis_state,
     bell_state,
@@ -182,6 +185,124 @@ def test_batched_draws_keep_per_index_keying():
         assert np.max(np.abs(row - z / np.linalg.norm(z))) < 1e-15
         # and the scalar API is the same row, bit for bit
         assert random_state(4, 77, index).amps.tobytes() == row.tobytes()
+
+
+# numpy's own classes, kept before any test swaps the module attributes.
+_SEED_SEQUENCE = np.random.SeedSequence
+_PHILOX = np.random.Philox
+
+
+def _documented_row(n, seed, index):
+    # random_state's documented keying, spelled out with numpy's classes.
+    ss = _SEED_SEQUENCE(entropy=seed, spawn_key=(index,))
+    z = np.random.Generator(_PHILOX(ss)).standard_normal(2 << n)
+    amps = z[: 1 << n] + 1j * z[1 << n :]
+    parts = amps.view(np.float64).reshape(1 << n, 2)
+    sq = (parts * parts).sum(axis=0)
+    return amps / np.sqrt(sq[0] + sq[1])
+
+
+def _words(count):
+    # Nonnegative integers of exactly `count` 32-bit words (0 is one word).
+    low = 0 if count == 1 else 1 << (32 * (count - 1))
+    return st.integers(low, (1 << (32 * count)) - 1)
+
+
+_SEEDS = st.integers(1, 6).flatmap(_words)
+_INDICES = st.lists(st.integers(1, 3).flatmap(_words), min_size=2, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), seed=_SEEDS, indices=_INDICES)
+def test_batched_draws_are_the_documented_keying(n, seed, indices):
+    # seeds of 1..6 words and indices of 1..3 words, mixed in one batch
+    batch = _random_amplitudes(n, seed, indices)
+    keys = _philox_keys(seed, indices)
+    for row, key, index in zip(batch, keys, indices):
+        ss = _SEED_SEQUENCE(entropy=seed, spawn_key=(index,))
+        assert key.tobytes() == ss.generate_state(2, np.uint64).tobytes()
+        assert row.tobytes() == _documented_row(n, seed, index).tobytes()
+
+
+def test_keys_at_word_boundaries():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 2**200 + 7]
+    for seed in edges:
+        keys = _philox_keys(seed, edges)
+        for key, index in zip(keys, edges):
+            ss = _SEED_SEQUENCE(entropy=seed, spawn_key=(index,))
+            assert key.tobytes() == ss.generate_state(2, np.uint64).tobytes()
+    assert _philox_keys(5, []).shape == (0, 2)
+    assert _random_amplitudes(3, 5, []).shape == (0, 8)
+
+
+def test_random_state_keeps_its_bits_past_one_word():
+    for seed in (0, 12345, 2**40 + 3):
+        for index in (0, 7, 2**32 - 1, 2**32, 2**64 + 1):
+            want = _documented_row(4, seed, index)
+            assert random_state(4, seed, index).amps.tobytes() == want.tobytes()
+
+
+def test_negative_seed_or_index_is_rejected():
+    for seed, indices in ((-1, [0]), (-1, [0, 1]), (0, [-1]), (0, [3, -2]), (-(2**70), [5, 6])):
+        with pytest.raises(ValueError):
+            _random_amplitudes(2, seed, indices)
+    with pytest.raises(ValueError):
+        random_state(2, -3)
+    with pytest.raises(ValueError):
+        random_state(2, 3, index=-1)
+
+
+def test_a_batch_builds_one_generator_not_one_per_row(monkeypatch):
+    built = {"SeedSequence": 0, "Philox": 0}
+
+    def counting(name, cls):
+        def build(*args, **kwargs):
+            built[name] += 1
+            return cls(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting("SeedSequence", _SEED_SEQUENCE))
+    monkeypatch.setattr(np.random, "Philox", counting("Philox", _PHILOX))
+    batch = _random_amplitudes(4, 2024, range(256))
+    # no SeedSequence per row, and at most one Philox, re-keyed for each row
+    assert built["SeedSequence"] <= 1
+    assert built["Philox"] <= 1
+    monkeypatch.undo()
+    for index in (0, 1, 128, 255):
+        assert batch[index].tobytes() == _documented_row(4, 2024, index).tobytes()
+
+
+def test_normalize_rescales_at_any_float_scale():
+    # the norm of 1e200 amplitudes overflows and that of 1e-170 underflows
+    for scale in (5e-324, 1e-300, 1e-170, 1e-13, 1.0, 1e200, 1e307):
+        s = make_state(2, np.array([scale, 0, 0, scale]), normalize=True)
+        assert np.max(np.abs(s.amps - bell_state().amps)) < 1e-15
+    big = make_state(1, np.array([1.7e308 + 1.7e308j, 1.7e308]), normalize=True)
+    assert abs(np.sum(np.abs(big.amps) ** 2) - 1.0) < 1e-15
+    # in-range inputs rescale bit for bit as a plain division by the norm
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        amps = rng.standard_normal(8) * 3.0 + 1j * rng.standard_normal(8)
+        s = make_state(3, amps, normalize=True)
+        assert s.amps.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+    with pytest.raises(DegenerateStateError):
+        make_state(2, np.zeros(4), normalize=True)
+    with pytest.raises(StateError):
+        make_state(1, np.array([np.inf, 1.0]), normalize=True)
+
+
+def test_unnormalized_extremes_are_typed_errors():
+    with pytest.raises(NormalizationError):
+        make_state(1, np.array([1e200, 0.0]))
+    with pytest.raises(NormalizationError):
+        QubitState(1, np.array([1e300, 1e300]))
+    with pytest.raises(DegenerateStateError):
+        make_state(2, np.array([1e-170, 0, 0, 1e-170]))
+    with pytest.raises(DegenerateStateError):
+        make_state(1, np.array([9e-13, 0.0]))
+    with pytest.raises(NormalizationError):
+        make_state(1, np.array([2e-12, 0.0]))
 
 
 def test_json_rejects_bool_qubit_count():
