@@ -29,8 +29,18 @@ import numpy as np
 
 from .states import MAX_QUBITS, make_state
 
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_]+")
+# One alternative per token kind; the first character decides which applies,
+# and OTHER catches whatever no other alternative starts with.
+_TOKEN = re.compile(
+    r"(?P<NUMBER>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<KET>\|[01]*[>⟩]?)"
+    r"|(?P<NAME>[A-Za-z_]+)"
+    r"|(?P<OP>[-+*/()√])"
+    r"|(?P<NEWLINE>\n)"
+    r"|(?P<BLANK>[ \t\r]+)"
+    r"|(?P<OTHER>.)",
+    re.DOTALL,
+)
 
 # Each nesting level takes a few stack frames of the recursive-descent
 # parser; the cap keeps deep input well inside Python's recursion limit.
@@ -46,54 +56,22 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-_SINGLE = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "(": "LPAREN",
-    ")": "RPAREN",
-}
-
-
 def _tokenize(text):
+    """(kind, text, line, col) tuples ending in an EOF token.  An operator's
+    kind is its own character; a ket's text is its bits."""
     tokens = []
-    pos, line, line_start = 0, 1, 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        col = pos - line_start + 1
-        if ch == "\n":
-            pos += 1
-            line += 1
-            line_start = pos
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "BLANK":
             continue
-        if ch in " \t\r":
-            pos += 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in _SINGLE:
-            tokens.append(_Token(_SINGLE[ch], ch, line, col))
-            pos += 1
-            continue
-        if ch == "√":  # radical sign
-            tokens.append(_Token("RADICAL", ch, line, col))
-            pos += 1
-            continue
-        if ch == "|":
-            end = pos + 1
-            while end < n and text[end] in "01":
-                end += 1
-            bits = text[pos + 1 : end]
+        if kind == "OP":
+            kind = tok
+        elif kind == "KET":
+            bits = tok[1:].rstrip(">⟩")
             if not bits:
                 raise ParseError("ket needs at least one bit after '|'", line, col)
             if len(bits) > MAX_QUBITS:
@@ -102,75 +80,41 @@ def _tokenize(text):
                     line,
                     col,
                 )
-            if end >= n or text[end] not in (">", "⟩"):
+            if len(bits) == len(tok) - 1:
                 raise ParseError("expected '>' to close the ket", line, col)
-            tokens.append(_Token("KET", bits, line, col))
-            pos = end + 1
-            continue
-        m = _NUMBER.match(text, pos)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(), line, col))
-            pos = m.end()
-            continue
-        m = _NAME.match(text, pos)
-        if m:
-            tokens.append(_Token("NAME", m.group(), line, col))
-            pos = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, n - line_start + 1))
+            tok = bits
+        elif kind == "OTHER":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
+        tokens.append((kind, tok, line, col))
+    tokens.append(("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
-class _Value:
-    """Tagged evaluation result: a scalar or a ket-sum vector."""
-
-    __slots__ = ("scalar", "bits", "amps")
-
-    def __init__(self, scalar=None, bits=None, amps=None):
-        self.scalar = scalar
-        self.bits = bits
-        self.amps = amps
-
-    @property
-    def is_scalar(self):
-        return self.scalar is not None
-
-
-def _scalar(z):
-    return _Value(scalar=complex(z))
-
-
-def _finite_scalar(z):
+# A value is a Python complex (a scalar) or a complex128 array of length
+# 2**bits (a ket sum); a ket has at least one bit, so no array has length 1.
+def _finite(z):
     # Python complex arithmetic overflows to inf (or nan) silently; raise as
     # numpy does for ket arithmetic inside _Parser.parse.
     if not cmath.isfinite(z):
         raise FloatingPointError("scalar out of floating-point range")
-    return _Value(scalar=z)
-
-
-def _out_of_range(op):
-    return ParseError("value out of floating-point range", op.line, op.col)
+    return z
 
 
 def _ket(bits):
     amps = np.zeros(1 << len(bits), dtype=np.complex128)
     amps[int(bits, 2)] = 1.0
-    return _Value(bits=len(bits), amps=amps)
+    return amps
 
 
 class _Parser:
     # Token kinds that may start an atom and bind to the previous atom by
     # juxtaposition.  NUMBER is deliberately absent: "2 3" is an error.
-    _IMPLICIT = ("KET", "NAME", "LPAREN", "RADICAL")
+    _IMPLICIT = ("KET", "NAME", "(", "√")
 
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -178,154 +122,148 @@ class _Parser:
         return tok
 
     def expect(self, kind, what):
-        tok = self.peek()
-        if tok.kind != kind:
+        tok = self.advance()
+        if tok[0] != kind:
             raise ParseError(
-                f"expected {what}, found {tok.text!r}" if tok.kind != "EOF"
+                f"expected {what}, found {tok[1]!r}" if tok[0] != "EOF"
                 else f"expected {what}, found end of input",
-                tok.line,
-                tok.col,
+                *tok[2:],
             )
-        return self.advance()
 
     def parse(self):
         # Ket arithmetic that leaves the float range raises FloatingPointError
-        # (scalar arithmetic raises it through _finite_scalar), which the
-        # operator loops turn into a ParseError at the operator.
+        # (scalar arithmetic raises it through _finite), which the operator
+        # loops turn into a ParseError at the operator.
         with np.errstate(over="raise", invalid="raise"):
             value = self.expression()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected {tok.text!r} after expression", tok.line, tok.col)
+        kind, text, line, col = self.tokens[self.pos]
+        if kind != "EOF":
+            raise ParseError(f"unexpected {text!r} after expression", line, col)
         return value
 
     def expression(self):
         value = self.product()
-        while self.peek().kind in ("PLUS", "MINUS"):
+        while self.tokens[self.pos][0] in ("+", "-"):
             op = self.advance()
             rhs = self.product()
             try:
-                value = self._add(value, rhs, op, negate=op.kind == "MINUS")
+                value = self._add(value, rhs, op)
             except FloatingPointError:
-                raise _out_of_range(op) from None
+                raise ParseError("value out of floating-point range", *op[2:]) from None
         return value
 
     def product(self):
         value = self.unary()
         while True:
-            op = self.peek()
-            if op.kind in ("STAR", "SLASH"):
-                self.advance()
-            elif op.kind not in self._IMPLICIT:
+            op = self.tokens[self.pos]
+            if op[0] in ("*", "/"):
+                self.pos += 1
+            elif op[0] not in self._IMPLICIT:
                 return value
             rhs = self.unary()
             try:
-                value = self._combine(value, rhs, op, divide=op.kind == "SLASH")
+                value = self._combine(value, rhs, op)
             except FloatingPointError:
-                raise _out_of_range(op) from None
+                raise ParseError("value out of floating-point range", *op[2:]) from None
 
     def unary(self):
         flip = False
-        while self.peek().kind in ("MINUS", "PLUS"):
-            if self.advance().kind == "MINUS":
+        while self.tokens[self.pos][0] in ("-", "+"):
+            if self.advance()[0] == "-":
                 flip = not flip
         # Every nesting level, whether (...), sqrt(...) or a radical, passes
         # through here once.
         if self.depth == MAX_NESTING:
-            tok = self.peek()
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+            _, _, line, col = self.tokens[self.pos]
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
         self.depth += 1
         value = self.atom()
         self.depth -= 1
-        if flip:
-            if value.is_scalar:
-                return _scalar(-value.scalar)
-            return _Value(bits=value.bits, amps=-value.amps)
-        return value
+        return -value if flip else value
 
     def atom(self):
-        tok = self.advance()
-        if tok.kind == "NUMBER":
-            value = float(tok.text)
+        tok = kind, text, line, col = self.advance()
+        if kind == "NUMBER":
+            value = float(text)
             if not cmath.isfinite(value):
-                raise ParseError(f"number {tok.text} is out of range", tok.line, tok.col)
-            return _scalar(value)
-        if tok.kind == "KET":
-            return _ket(tok.text)
-        if tok.kind == "LPAREN":
+                raise ParseError(f"number {text} is out of range", line, col)
+            return complex(value)
+        if kind == "KET":
+            return _ket(text)
+        if kind == "(":
             value = self.expression()
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return value
-        if tok.kind == "NAME":
-            if tok.text == "i":
-                return _scalar(1j)
-            if tok.text == "sqrt":
-                self.expect("LPAREN", "'(' after sqrt")
+        if kind == "NAME":
+            if text == "i":
+                return 1j
+            if text == "sqrt":
+                self.expect("(", "'(' after sqrt")
                 inner = self.expression()
-                self.expect("RPAREN", "')'")
+                self.expect(")", "')'")
                 return self._sqrt(inner, tok)
-            raise ParseError(f"unknown name {tok.text!r}", tok.line, tok.col)
-        if tok.kind == "RADICAL":
-            if self.peek().kind == "LPAREN":
-                self.advance()
+            raise ParseError(f"unknown name {text!r}", line, col)
+        if kind == "√":
+            if self.tokens[self.pos][0] == "(":
+                self.pos += 1
                 inner = self.expression()
-                self.expect("RPAREN", "')'")
+                self.expect(")", "')'")
             else:
                 inner = self.unary()
             return self._sqrt(inner, tok)
-        if tok.kind == "EOF":
-            raise ParseError("unexpected end of input", tok.line, tok.col)
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        if kind == "EOF":
+            raise ParseError("unexpected end of input", line, col)
+        raise ParseError(f"unexpected {text!r}", line, col)
 
     @staticmethod
-    def _sqrt(value, tok):
-        if not value.is_scalar:
-            raise ParseError("sqrt of a ket expression", tok.line, tok.col)
-        z = value.scalar
+    def _sqrt(z, tok):
+        if isinstance(z, np.ndarray):
+            raise ParseError("sqrt of a ket expression", *tok[2:])
         if z.imag != 0.0 or z.real < 0.0:
-            raise ParseError("sqrt argument must be a nonnegative real", tok.line, tok.col)
-        return _scalar(np.sqrt(z.real))
+            raise ParseError("sqrt argument must be a nonnegative real", *tok[2:])
+        return complex(np.sqrt(z.real))
 
     @staticmethod
-    def _add(lhs, rhs, op, negate):
-        if lhs.is_scalar != rhs.is_scalar:
-            raise ParseError("cannot add a scalar and a ket expression", op.line, op.col)
-        if lhs.is_scalar:
-            return _finite_scalar(lhs.scalar - rhs.scalar if negate else lhs.scalar + rhs.scalar)
-        if lhs.bits != rhs.bits:
+    def _add(lhs, rhs, op):
+        ket = isinstance(lhs, np.ndarray)
+        if ket != isinstance(rhs, np.ndarray):
+            raise ParseError("cannot add a scalar and a ket expression", *op[2:])
+        if ket and len(lhs) != len(rhs):
             raise ParseError(
-                f"mixed ket lengths ({lhs.bits} and {rhs.bits} bits)", op.line, op.col
+                f"mixed ket lengths ({len(lhs).bit_length() - 1} and "
+                f"{len(rhs).bit_length() - 1} bits)",
+                *op[2:],
             )
-        amps = lhs.amps - rhs.amps if negate else lhs.amps + rhs.amps
-        return _Value(bits=lhs.bits, amps=amps)
+        total = lhs - rhs if op[0] == "-" else lhs + rhs
+        return total if ket else _finite(total)
 
     @staticmethod
-    def _combine(lhs, rhs, op, divide):
-        if divide:
-            if not rhs.is_scalar:
-                raise ParseError("cannot divide by a ket expression", op.line, op.col)
-            if rhs.scalar == 0:
-                raise ParseError("division by zero", op.line, op.col)
-            if lhs.is_scalar:
-                return _finite_scalar(lhs.scalar / rhs.scalar)
-            return _Value(bits=lhs.bits, amps=lhs.amps / rhs.scalar)
-        if lhs.is_scalar and rhs.is_scalar:
-            return _finite_scalar(lhs.scalar * rhs.scalar)
-        if lhs.is_scalar:
-            return _Value(bits=rhs.bits, amps=lhs.scalar * rhs.amps)
-        if rhs.is_scalar:
-            return _Value(bits=lhs.bits, amps=rhs.scalar * lhs.amps)
-        raise ParseError("cannot multiply two ket expressions", op.line, op.col)
+    def _combine(lhs, rhs, op):
+        # Scalars stay Python complex and multiply a ket from the left: numpy's
+        # complex loops may round differently from Python's, so operand types
+        # and order fix the bits of every result.
+        lket, rket = isinstance(lhs, np.ndarray), isinstance(rhs, np.ndarray)
+        if op[0] == "/":
+            if rket:
+                raise ParseError("cannot divide by a ket expression", *op[2:])
+            if rhs == 0:
+                raise ParseError("division by zero", *op[2:])
+            return lhs / rhs if lket else _finite(lhs / rhs)
+        if lket and rket:
+            raise ParseError("cannot multiply two ket expressions", *op[2:])
+        if lket:
+            return rhs * lhs
+        return lhs * rhs if rket else _finite(lhs * rhs)
 
 
 def parse_amplitudes(text):
     """Parse to a raw (qubit_count, amplitude_vector) pair, unvalidated."""
     if not isinstance(text, str):
         raise ParseError("input must be a string", 1, 1)
-    value = _Parser(text).parse()
-    if value.is_scalar:
+    amps = _Parser(text).parse()
+    if not isinstance(amps, np.ndarray):
         raise ParseError("expression contains no ket terms", 1, 1)
-    return value.bits, value.amps
+    return len(amps).bit_length() - 1, amps
 
 
 def parse_state(text, normalize=False):

@@ -354,6 +354,9 @@ def state_from_json(text, normalize=False):
         raise ShapeError("state file field 'n' must be an integer")
     pairs = obj["amplitudes"]
     try:
+        # complex() takes a bool as 0 or 1; JSON true/false is no amplitude.
+        if any(isinstance(part, bool) for pair in pairs for part in pair):
+            raise TypeError
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError):
         raise StateError("state file amplitudes must be [re, im] pairs") from None
@@ -361,8 +364,12 @@ def state_from_json(text, normalize=False):
 
 
 def read_state_file(path, normalize=False):
-    with open(path, "r", encoding="utf-8") as fh:
-        return state_from_json(fh.read(), normalize=normalize)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StateError(f"cannot read state file {path}: {exc}") from None
+    return state_from_json(text, normalize=normalize)
 
 
 def write_state_file(state, path):

@@ -7,19 +7,22 @@ coordinates rather than reusing them.
 
 import numpy as np
 
-from .states import bring_to_front
-
 SEP_TOL = 1e-9
 
 _EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _front_rows(state, qubit):
+    """The amplitudes as a 2 x 2**(n-1) matrix: row b holds those with the
+    chosen qubit at b, the other qubits in their order."""
+    if not 0 <= qubit < state.n:
+        raise ValueError(f"qubit index {qubit} out of range for n={state.n}")
+    return np.moveaxis(state.amps.reshape((2,) * state.n), qubit, 0).reshape(2, -1)
+
+
 def partial_trace_to_single(state, keep):
     """Reduced 2x2 density matrix of one qubit, tracing out the rest."""
-    if not 0 <= keep < state.n:
-        raise ValueError(f"qubit index {keep} out of range for n={state.n}")
-    t = state.amps.reshape((2,) * state.n)
-    m = np.moveaxis(t, keep, 0).reshape(2, -1)
+    m = _front_rows(state, keep)
     return m @ m.conj().T
 
 
@@ -77,17 +80,12 @@ def _tau_first(amps):
 
 def tau_one_rest(state, qubit):
     """One-vs-rest tangle 4*det(rho_qubit); equals the linear entropy measure."""
-    if not 0 <= qubit < state.n:
-        raise ValueError(f"qubit index {qubit} out of range for n={state.n}")
-    order = [qubit] + [q for q in range(state.n) if q != qubit]
-    front = state.amps.reshape((2,) * state.n).transpose(order)
-    return float(_tau_first(front.reshape(1, -1))[0])
+    return float(_tau_first(_front_rows(state, qubit).reshape(1, -1))[0])
 
 
 def separable_one_rest(state, qubit, tol=SEP_TOL):
     """True when the chosen qubit factors out: every 2x2 minor vanishes."""
-    t = state.amps.reshape((2,) * state.n)
-    m = np.moveaxis(t, qubit, 0).reshape(2, -1)
+    m = _front_rows(state, qubit)
     minors = np.outer(m[0], m[1]) - np.outer(m[1], m[0])
     return bool(np.max(np.abs(minors)) < tol)
 
@@ -107,7 +105,7 @@ def _classify_three(state, separable, tol=SEP_TOL):
     # classify_three given separable_one_rest(state, q, tol) for each qubit q.
     if not any(separable):
         return "entangled"
-    m = bring_to_front(state, separable.index(True)).amps.reshape(2, 4)
+    m = _front_rows(state, separable.index(True))
     rest = m[0] if np.linalg.norm(m[0]) >= np.linalg.norm(m[1]) else m[1]
     if abs(rest[0] * rest[3] - rest[1] * rest[2]) < tol:
         return "fully-separable"

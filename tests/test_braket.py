@@ -1,9 +1,14 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hopfq.braket import MAX_NESTING, ParseError, format_state, parse_amplitudes, parse_state
+from hopfq.reporting import PUBLISHED_STATES
 from hopfq.states import (
     NormalizationError,
     bell_state,
@@ -237,3 +242,152 @@ def test_fuzz_never_crashes():
             parse_amplitudes(text)
         except ParseError:
             pass
+
+
+# Inputs whose outcome is pinned: the published states, hand-written edge
+# cases and seeded stdlib-random texts (no numpy RNG, so the corpus is the same
+# on every machine).
+_EDGE_CASES = (
+    "(1+2i)/(3-4i)|0>",
+    "|0>/(3-4i) + |1>/(1e-300+1e-300i)",
+    "(2i)/(1+i)|1> - (0.1-0.7i)/(0.3+0.9i)|0>",
+    "(1e300+1e300i)/(1e-10-1e-10i)|0>",
+    "|1>*(1e-200+1e-200i)/(1e200+3e199i)",
+    "√2|0> + √(2)|1> + sqrt(2)|0>",
+    "√√16|0> - √-1|1>",
+    "sqrt 2|0>",
+    "sqrt(0)|0> + |1>",
+    "sqrt(1e308*10)|0>",
+    "√(i)|0>",
+    "|00>\n+ |11>",
+    "(|0>\r\n+\t|1>)\n/ sqrt(2)",
+    "\n\n  |0> ? |1>",
+    "|0>\n\n   |",
+    "|0>\n  + |1\n",
+    "|0⟩ + |1⟩ - |0>",
+    "٣|0> + ١.٥e٢|1>",
+    "1e|0>",
+    "2 3|0>",
+    "i i|0>",
+    "|0>|1>",
+    ".5|0>",
+    "1.e5|0> + 0.|1>",
+    "---+-|0>",
+    "-(-(-|01>))",
+    "(" * MAX_NESTING + "|0>" + ")" * MAX_NESTING,
+    "(" * (MAX_NESTING - 1) + "|0>" + ")" * (MAX_NESTING - 1),
+    "|" + "1" * 64,
+    "|" + "1" * 5,
+    "|11111>",
+    "|>",
+    "|",
+    "|2>",
+    "|0)",
+    "",
+    "   ",
+    "\n",
+    "1",
+    "()",
+    "sqrt",
+    "sqrt(|0>)",
+    "foo|0>",
+    "I|0>",
+    "_|0>",
+    "|0> @ |1>",
+    "|0> + |00>",
+    "|0> / 0",
+    "|0> / (1 - 1)",
+    "|0> / (0i)",
+    "2 + |0>",
+    "|0> + 2",
+)
+_EDGE_CASES += tuple(text for _, text in PUBLISHED_STATES)
+_FUZZ_ALPHABET = "01|<>()+-*/sqrti. eE⟩√\n\t\r2479,_x٣"
+_SCALARS = ("i", "2", "0.5", "3e-1", "1E+1", "1e308", "1e-320", "0", "7.",
+            "sqrt(2)", "√3", "√(0.5)", "(1+2i)", "(3-4i)", "(1e-300-2e-300i)")
+
+
+def _random_expression(rng, n, depth=0):
+    # A random expression over every operator, mostly n-bit kets and scalars.
+    if depth == 3 or rng.random() < 0.35:
+        if rng.random() < 0.5:
+            bits = rng.choice((n, n, n, n, n + 1))
+            return "|" + "".join(rng.choice("01") for _ in range(bits)) + rng.choice(">>⟩")
+        return rng.choice(_SCALARS)
+    lhs = _random_expression(rng, n, depth + 1)
+    rhs = _random_expression(rng, n, depth + 1)
+    op = rng.choice(("+", "-", "*", "/", "", " "))
+    gap = rng.choice(("", "", " ", "\n", "\t"))
+    text = f"{lhs}{gap}{op}{gap}{rhs}"
+    return f"({text})" if rng.random() < 0.4 else text
+
+
+def _random_format_text(rng):
+    # Text in format_state's shape: coefficients at 3..17 digits, random scales.
+    n, digits = rng.randint(1, 4), rng.randint(3, 17)
+
+    def part():
+        v = rng.choice((0.0, rng.gauss(0.0, 1.0), rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-330, 308)))
+        return format(v, f".{digits}g")
+
+    terms = []
+    for k in rng.sample(range(1 << n), rng.randint(1, 1 << n)):
+        coeff = rng.choice((part(), part() + "i", f"({part()}+{part()}i)", f"({part()}-{part()}i)"))
+        terms.append(f"{coeff}|{k:0{n}b}>")
+    return rng.choice((" + ", " - ")).join(terms).replace("+-", "-").replace("--", "+")
+
+
+def _outcome_corpus():
+    rng = random.Random(1729)
+    texts = list(_EDGE_CASES)
+    texts += [_random_format_text(rng) for _ in range(1200)]
+    texts += [_random_expression(rng, rng.randint(1, 4)) for _ in range(1200)]
+    texts += ["".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randrange(30)))
+              for _ in range(3000)]
+    return texts
+
+
+def _outcome(text):
+    try:
+        n, _ = parse_amplitudes(text)
+    except ParseError as exc:
+        return ("err", str(exc), exc.line, exc.col)
+    return ("ok", n)
+
+
+def test_outcome_digest_is_pinned():
+    # Every success's qubit count and every error's message and position.
+    # Amplitude bytes stay out of the hash: numpy's complex loops are chosen
+    # per CPU, so only the outcome is the same on every machine.
+    outcomes = [_outcome(text) for text in _outcome_corpus()]
+    assert len(outcomes) == 5400 + len(_EDGE_CASES)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "2782772fbcadf9f06c243c70a8724b9be3d833cbba595a56e76291d9673f11bf"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (1e300, -1e300, 1e-300, -1e-300)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_format_parse_round_trip_any_finite_state(n, data):
+    # Unit states from arbitrary finite parts: subnormals, the largest
+    # doubles and 1e+-300 ratios between amplitudes included.
+    parts = data.draw(st.lists(_FINITE, min_size=2 << n, max_size=2 << n))
+    assume(any(parts))
+    s = make_state(n, np.array(parts).view(np.complex128), normalize=True)
+    back = parse_state(format_state(s))
+    assert back.n == s.n
+    assert np.array_equal(back.amps, s.amps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(_FUZZ_ALPHABET) | st.characters()))
+def test_parser_is_total(text):
+    # Any text either parses or raises ParseError, never another exception.
+    try:
+        parse_amplitudes(text)
+    except ParseError:
+        pass

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hopfq.cli as cli
-from hopfq.states import ghz_state, permute_qubits, state_to_json
+from hopfq.states import StateError, ghz_state, permute_qubits, read_state_file, state_to_json
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -135,6 +135,18 @@ def test_analyze_reads_state_files(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["n"] == 3 and report["classification"] == "entangled"
+
+
+def test_analyze_unreadable_state_file_exit_2(capsys, tmp_path):
+    # a file that is not UTF-8 is a state error, not a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"n": 1, "amplitudes": [[1, 0], [0, 0]]}\xff')
+    code, out, err = _run(capsys, "analyze", "--state", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read state file {path}: ")
+    assert "Traceback" not in err
+    with pytest.raises(StateError, match="cannot read state file"):
+        read_state_file(tmp_path / "missing.json")
 
 
 def test_analyze_rerun_byte_identical(capsys):

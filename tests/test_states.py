@@ -309,6 +309,10 @@ def test_json_rejects_bool_qubit_count():
     for flag in ("true", "false"):
         with pytest.raises(ShapeError):
             state_from_json('{"n": %s, "amplitudes": [[1, 0], [0, 0]]}' % flag)
+    # nor as an amplitude part, even where the bools would read as a unit state
+    for pairs in ("[[true, false], [false, false]]", "[[0.6, 0], [0.8, false]]"):
+        with pytest.raises(StateError, match=r"\[re, im\] pairs"):
+            state_from_json('{"n": 1, "amplitudes": %s}' % pairs)
 
 
 def test_product_state():

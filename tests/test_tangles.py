@@ -82,6 +82,10 @@ def test_partial_trace_matches_dense_oracle():
 def test_partial_trace_index_check():
     with pytest.raises(ValueError):
         partial_trace_to_single(bell_state(), 2)
+    # -1 must not wrap around to the last qubit, and n must not reach numpy
+    for q in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            separable_one_rest(ghz_state(3), q)
 
 
 def test_concurrence_examples():
