@@ -20,13 +20,13 @@ from .fibration import (
     base_coordinates,
     e_measure,
 )
-from .states import QubitState, _random_amplitudes, bring_to_front
+from .states import _FRONT, QubitState, _random_amplitudes, bring_to_front
 from .tangles import (
     _classify_three,
+    _separable_rows,
     _tau_first,
     classify_three,
     concurrence,
-    separable_one_rest,
     tau_one_rest,
     three_tangle,
 )
@@ -45,9 +45,9 @@ def analysis_report(state):
     bc = base_coordinates(state)
     report = {
         "n": n,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amps],
+        "amplitudes": state.amps.view(np.float64).reshape(-1, 2).tolist(),
         "delta": bc.delta,
-        "comps": [float(c) for c in bc.comps],
+        "comps": bc.comps.tolist(),
     }
     if n >= 2:
         e_comp, e_sum, defect = _e_values(bc)
@@ -59,9 +59,9 @@ def analysis_report(state):
         report["ball"] = list(ball)
         report["mes"] = _at_origin(ball)
     if n >= 2:
-        report["tau_one_rest"] = [
-            tau_one_rest(state, q) for q in range(n)
-        ]
+        # Row q of fronts is the state with qubit q brought to the front.
+        fronts = state.amps[_FRONT[n]]
+        report["tau_one_rest"] = _tau_first(fronts).tolist()
     if n == 2:
         report["concurrence"] = concurrence(state)
     if n == 3:
@@ -69,11 +69,9 @@ def analysis_report(state):
         # two_tangles(state) is the one-vs-rest tau of each qubit: reuse it.
         report["two_tangles"] = list(report["tau_one_rest"])
     if n >= 2:
-        report["separable"] = [
-            separable_one_rest(state, q) for q in range(n)
-        ]
+        report["separable"] = _separable_rows(fronts.reshape(n, 2, -1)).tolist()
     if n == 3:
-        report["classification"] = _classify_three(state, report["separable"])
+        report["classification"] = _classify_three(fronts, report["separable"])
     return report
 
 
@@ -99,8 +97,33 @@ def _csv_scalar(value):
     return str(value)
 
 
+_JSON_WORDS = {"True": "true", "False": "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_texts(values):
+    # The JSON text of each number or boolean: json.dumps writes their repr,
+    # except for the spellings in _JSON_WORDS (booleans, non-finite floats).
+    return [_JSON_WORDS.get(t, t) for t in map(repr, values)]
+
+
 def report_to_json(report):
-    return json.dumps(report, indent=2) + "\n"
+    """The report as json.dumps(report, indent=2) + newline writes it, for
+    the report's fixed shape: scalars, flat lists and the [re, im] pairs."""
+    items = []
+    for key, value in report.items():
+        if isinstance(value, str):
+            text = json.dumps(value)
+        elif not isinstance(value, list):
+            text = _json_texts([value])[0]
+        elif isinstance(value[0], list):
+            parts = iter(_json_texts([x for pair in value for x in pair]))
+            pairs = [f"[\n      {re_},\n      {im}\n    ]" for re_, im in zip(parts, parts)]
+            text = "[\n    " + ",\n    ".join(pairs) + "\n  ]"
+        else:
+            text = "[\n    " + ",\n    ".join(_json_texts(value)) + "\n  ]"
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def report_to_csv(report):
@@ -193,8 +216,8 @@ def conformance_rows():
     ))
     rows.append(_row(
         "Phi1 (4 qubits)", 8.0 / 9.0, states["Phi1 (4 qubits)"],
-        "published 8/9 equals the antilinear-monotone value cited alongside it; "
-        "the base-map measure and the oracle give 1 (leading qubit maximally mixed)",
+        "published 8/9; both computed forms and the density-matrix oracle give 1 "
+        "(leading qubit maximally mixed)",
     ))
 
     # The published prefactor 1/sqrt(2*sqrt(10)) does not normalize this

@@ -165,10 +165,18 @@ def permute_qubits(state, perm):
     return QubitState(n, out, _norm_tol=None)
 
 
+# _FRONT[n][q]: the amplitude indices with qubit q first, the others in order.
+_FRONT = {
+    n: np.stack([np.moveaxis(np.arange(1 << n).reshape((2,) * n), q, 0).ravel() for q in range(n)])
+    for n in range(1, MAX_QUBITS + 1)
+}
+
+
 def bring_to_front(state, qubit):
     """Permutation helper: move one qubit into role 0, others keep their order."""
-    perm = [qubit] + [q for q in range(state.n) if q != qubit]
-    return permute_qubits(state, perm)
+    if not 0 <= qubit < state.n:
+        raise ValueError(f"qubit index {qubit} out of range for n={state.n}")
+    return QubitState(state.n, state.amps[_FRONT[state.n][qubit]], _norm_tol=None)
 
 
 # numpy's SeedSequence hash: its constants, 32-bit words and the four-word

@@ -7,6 +7,8 @@ coordinates rather than reusing them.
 
 import numpy as np
 
+from .states import _FRONT
+
 SEP_TOL = 1e-9
 
 _EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -17,7 +19,7 @@ def _front_rows(state, qubit):
     chosen qubit at b, the other qubits in their order."""
     if not 0 <= qubit < state.n:
         raise ValueError(f"qubit index {qubit} out of range for n={state.n}")
-    return np.moveaxis(state.amps.reshape((2,) * state.n), qubit, 0).reshape(2, -1)
+    return state.amps[_FRONT[state.n][qubit]].reshape(2, -1)
 
 
 def partial_trace_to_single(state, keep):
@@ -57,7 +59,7 @@ def two_tangles(state):
     """Pairwise one-vs-rest tangles (tau_A, tau_B, tau_C) for 3 qubits."""
     if state.n != 3:
         raise ValueError("two_tangles is defined for 3 qubits")
-    return tuple(tau_one_rest(state, q) for q in range(3))
+    return tuple(_tau_first(state.amps[_FRONT[3]]).tolist())
 
 
 def _tau_first(amps):
@@ -83,11 +85,16 @@ def tau_one_rest(state, qubit):
     return float(_tau_first(_front_rows(state, qubit).reshape(1, -1))[0])
 
 
+def _separable_rows(m, tol=SEP_TOL):
+    """separable_one_rest of each (2, h) front-row matrix of an (N, 2, h) stack."""
+    a, b = m[:, 0], m[:, 1]
+    minors = a[:, :, None] * b[:, None, :] - b[:, :, None] * a[:, None, :]
+    return np.abs(minors).max(axis=(1, 2)) < tol
+
+
 def separable_one_rest(state, qubit, tol=SEP_TOL):
     """True when the chosen qubit factors out: every 2x2 minor vanishes."""
-    m = _front_rows(state, qubit)
-    minors = np.outer(m[0], m[1]) - np.outer(m[1], m[0])
-    return bool(np.max(np.abs(minors)) < tol)
+    return bool(_separable_rows(_front_rows(state, qubit)[None], tol)[0])
 
 
 def classify_three(state, tol=SEP_TOL):
@@ -98,14 +105,15 @@ def classify_three(state, tol=SEP_TOL):
     """
     if state.n != 3:
         raise ValueError("classification is defined for 3 qubits")
-    return _classify_three(state, [separable_one_rest(state, q, tol) for q in range(3)], tol)
+    fronts = state.amps[_FRONT[3]]
+    return _classify_three(fronts, _separable_rows(fronts.reshape(3, 2, -1), tol).tolist(), tol)
 
 
-def _classify_three(state, separable, tol=SEP_TOL):
-    # classify_three given separable_one_rest(state, q, tol) for each qubit q.
+def _classify_three(fronts, separable, tol=SEP_TOL):
+    # classify_three given the (3, 8) front rows and their separable list.
     if not any(separable):
         return "entangled"
-    m = _front_rows(state, separable.index(True))
+    m = fronts[separable.index(True)].reshape(2, -1)
     rest = m[0] if np.linalg.norm(m[0]) >= np.linalg.norm(m[1]) else m[1]
     if abs(rest[0] * rest[3] - rest[1] * rest[2]) < tol:
         return "fully-separable"

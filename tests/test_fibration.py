@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hopfq.braket import parse_state
 from hopfq.cdnum import CDElement, basis, cd_conj, cd_mul, cd_norm_sq, from_complex_pairs
@@ -13,6 +15,7 @@ from hopfq.fibration import (
     hopf_quotient,
     is_mes,
 )
+from hopfq.reporting import PUBLISHED_STATES
 from hopfq.states import (
     basis_state,
     bell_state,
@@ -144,6 +147,30 @@ def test_e_equals_four_det_rho_3_and_4():
             e = e_measure(s)
             worst = max(worst, abs(e[0] - _four_det_rho(s)))
         assert worst < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 4), data=st.data())
+def test_e_complement_is_tau_of_the_leading_qubit(n, data):
+    # An identity, not a cross-check: both sides are the same quartic form
+    # in the amplitudes, 4 det(rho) of qubit 0, so only rounding parts them.
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    parts = data.draw(st.lists(finite, min_size=2 << n, max_size=2 << n))
+    assume(any(parts))
+    s = make_state(n, np.array(parts).view(np.complex128), normalize=True)
+    assert abs(base_coordinates(s).e_complement - tau_one_rest(s, 0)) <= 1e-14
+
+
+def test_e_sum_is_not_a_local_unitary_invariant_at_four_qubits():
+    # S = diag(1, i) on one qubit of the normalized Phi2 moves the sedenion
+    # sum form off 1, while e_complement, a local-unitary invariant, stays 1.
+    phi2 = parse_state(dict(PUBLISHED_STATES)["Phi2 (4 qubits)"], normalize=True)
+    assert abs(e_measure(phi2)[1] - 1.0) < 1e-12
+    for qubit, e_sum in ((1, 0.74), (0, 0.9)):
+        phases = np.where(np.arange(16) >> (3 - qubit) & 1, 1j, 1.0)
+        e_comp, moved_sum, _ = e_measure(make_state(4, phi2.amps * phases))
+        assert abs(e_comp - 1.0) < 1e-12
+        assert abs(moved_sum - e_sum) < 1e-12
 
 
 def test_bloch_vector_single_qubit():

@@ -1,12 +1,17 @@
+import hashlib
 import json
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hopfq.reporting
 import hopfq.tangles
+from hopfq.braket import parse_state
 from hopfq.fibration import ball_coordinates, base_coordinates, e_measure, is_mes
 from hopfq.reporting import (
     MATCH_TOL,
+    PUBLISHED_STATES,
     _SAMPLE_CHUNK,
     ConformanceRow,
     analysis_report,
@@ -29,6 +34,7 @@ from hopfq.states import (
     w_state,
 )
 from hopfq.tangles import (
+    _separable_rows,
     classify_three,
     concurrence,
     separable_one_rest,
@@ -129,6 +135,12 @@ def test_conformance_table_contents():
     phi1 = by_label["Phi1 (4 qubits)"]
     assert abs(phi1.paper_value - 8.0 / 9.0) < 1e-12 and not phi1.match
     assert abs(phi1.computed_e_complement - 1.0) < 1e-12
+    # the note states only what is computed: both forms and the oracle give 1
+    assert abs(phi1.computed_e_sum - 1.0) < 1e-12 and abs(phi1.oracle_tau - 1.0) < 1e-12
+    assert phi1.note == (
+        "published 8/9; both computed forms and the density-matrix oracle give 1 "
+        "(leading qubit maximally mixed)"
+    )
 
     # the published prefactor does not normalize this state, so it is
     # evaluated both ways and both rows miss the published number
@@ -277,18 +289,104 @@ def test_report_tests_each_qubit_for_separability_once(monkeypatch):
         (make_state(3, [0, 0, r, 0, 0, 0, 0, r]), [False, True, False], "bi-separable"),
         (make_state(3, [0.5, 0.5, 0, 0, 0.5, 0.5, 0, 0]), [True, True, True], "fully-separable"),
     ] + [(random_state(3, seed=12, index=k), [False] * 3, "entangled") for k in range(3)]
-    calls = []
+    stacks, gathers = [], []
 
-    def counted(state, qubit, tol=hopfq.tangles.SEP_TOL):
-        calls.append(qubit)
-        return separable_one_rest(state, qubit, tol)
+    def counted_rows(m, tol=hopfq.tangles.SEP_TOL):
+        stacks.append(m.shape)
+        return _separable_rows(m, tol)
+
+    front_rows = hopfq.tangles._front_rows
+
+    def counted_front(state, qubit):
+        gathers.append(qubit)
+        return front_rows(state, qubit)
 
     for state, separable, label in cases:
-        monkeypatch.setattr(hopfq.reporting, "separable_one_rest", counted)
-        monkeypatch.setattr(hopfq.tangles, "separable_one_rest", counted)
-        calls.clear()
+        monkeypatch.setattr(hopfq.reporting, "_separable_rows", counted_rows)
+        monkeypatch.setattr(hopfq.tangles, "_front_rows", counted_front)
+        stacks.clear()
+        gathers.clear()
         report = analysis_report(state)
-        assert calls == [0, 1, 2]
         monkeypatch.undo()
+        # One minor test over the front rows of all three qubits, gathered
+        # once, and no per-qubit gather besides.
+        assert stacks == [(3, 2, 4)]
+        assert gathers == []
         assert report["separable"] == separable
+        assert separable == [separable_one_rest(state, q) for q in range(3)]
         assert report["classification"] == label == classify_three(state)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (1e300, -1e300, 1e-300, -1e-300)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_stacked_report_is_the_per_qubit_report(n, data):
+    # Unit states from arbitrary finite parts, each qubit brought to the
+    # front: the writer is json.dumps byte for byte, and the stacked lists
+    # are the public per-qubit functions (and per-element loops) bit for bit.
+    parts = data.draw(st.lists(_FINITE, min_size=2 << n, max_size=2 << n))
+    assume(any(parts))
+    state = make_state(n, np.array(parts).view(np.complex128), normalize=True)
+    for qubit in range(n):
+        report = analyze_state(state, qubit)
+        assert report_to_json(report) == json.dumps(report, indent=2) + "\n"
+        moved = bring_to_front(state, qubit)
+        pairs = [[float(a.real), float(a.imag)] for a in moved.amps]
+        assert _bits(report["amplitudes"]) == _bits(pairs)
+        assert _bits(report["comps"]) == _bits([float(c) for c in base_coordinates(moved).comps])
+        if n >= 2:
+            taus = [tau_one_rest(moved, q) for q in range(n)]
+            assert _bits(report["tau_one_rest"]) == _bits(taus)
+            assert report["separable"] == [separable_one_rest(moved, q) for q in range(n)]
+        if n == 3:
+            assert report["classification"] == classify_three(moved)
+
+
+def test_report_writer_special_values():
+    report = {
+        "n": 3,
+        "amplitudes": [[-0.0, float("nan")], [float("inf"), -float("inf")], [5e-324, 1.0]],
+        "delta": float("nan"),
+        "comps": [-0.0, 0.1, 1.7976931348623157e308, -float("inf"), 1e16, 1e-7],
+        "e_sum": -float("inf"),
+        "norm_defect": -0.0,
+        "mes": True,
+        "separable": [True, False, True],
+        "classification": 'bi-"separable" \u00e9\n',
+    }
+    text = report_to_json(report)
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert '"delta": NaN,' in text and "-Infinity" in text and '"mes": true,' in text
+
+
+def _digest_reports():
+    for _, text in PUBLISHED_STATES:
+        state = parse_state(text, normalize=True)
+        for qubit in range(state.n):
+            yield analyze_state(state, qubit)
+    for k in range(200):
+        n = k % 4 + 1
+        yield analyze_state(random_state(n, seed=2718, index=k), k % n)
+
+
+def test_analyze_output_digest_is_pinned():
+    # sha256 of analyze's JSON and CSV text over every published state at
+    # every qubit and 200 random states, as the per-qubit report and
+    # json.dumps wrote them.  The text holds every float's repr, so numpy
+    # float loops that round differently would change it too.
+    digest = hashlib.sha256()
+    count = 0
+    for report in _digest_reports():
+        digest.update(report_to_json(report).encode())
+        digest.update(report_to_csv(report).encode())
+        count += 1
+    assert count == 231
+    assert digest.hexdigest() == "6a7150417c31e512896c952ad87f5ec1eb40ea2050e433dd5f3aa602d1541dec"
