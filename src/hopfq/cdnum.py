@@ -170,7 +170,7 @@ def _xor_terms(level):
     # Term (a, k) of product coefficient k is S[a, a^k] * x[a] * y[a^k].
     a, k = np.indices((1 << level, 1 << level))
     gather = a ^ k
-    signs = _sign_table(level)[a, gather].astype(np.float64)
+    signs = _sign_table(level)[a, gather]
     gather.setflags(write=False)
     signs.setflags(write=False)
     return gather, signs
@@ -183,7 +183,8 @@ def _mul(x, y):
     last axis.  That strided reduction adds the terms of every row in the
     same order whatever the leading shape, so a row's product is bit for bit
     the same alone or in a batch; a reduction over a contiguous last axis
-    is not.
+    is not.  The int8 signs take the operands' dtype: float arrays give
+    float products, object arrays of Fractions exact ones.
     """
     gather, signs = _xor_terms(x.shape[-1].bit_length() - 1)
     return (signs * x[..., :, None] * y[..., gather]).sum(axis=-2)

@@ -18,16 +18,13 @@ from .fibration import (
     _base_coordinates,
     _e_values,
     base_coordinates,
-    e_measure,
 )
 from .states import _FRONT, QubitState, _random_amplitudes, bring_to_front
 from .tangles import (
     _classify_three,
     _separable_rows,
     _tau_first,
-    classify_three,
     concurrence,
-    tau_one_rest,
     three_tangle,
 )
 
@@ -158,15 +155,7 @@ class ConformanceRow:
         self.note = note
 
     def as_dict(self):
-        return {
-            "label": self.label,
-            "paper_value": self.paper_value,
-            "computed_e_complement": self.computed_e_complement,
-            "computed_e_sum": self.computed_e_sum,
-            "oracle_tau": self.oracle_tau,
-            "match": self.match,
-            "note": self.note,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 PUBLISHED_STATES = (
@@ -185,11 +174,36 @@ PUBLISHED_STATES = (
 )
 
 
-def _row(label, paper_value, state, note):
-    e_comp, e_sum, _ = e_measure(state)
-    return ConformanceRow(
-        label, paper_value, e_comp, e_sum, tau_one_rest(state, 0), note
-    )
+# One (label, published value, note) per conformance row, in table order.
+# Notes are str.format templates filled from the row state's analysis report.
+_CLAIMS = (
+    ("GHZ (4 qubits)", 1.0,
+     "matches the published 1; ball point at the origin (maximally entangled)"),
+    ("W0 (4 qubits)", 0.5,
+     "published 1/2; both computed forms and the density-matrix oracle give 3/4"),
+    ("W1 (4 qubits)", 0.75,
+     "matches the published 3/4; ball point (0, 0, -1/2)"),
+    ("Phi1 (4 qubits)", 8.0 / 9.0,
+     "published 8/9; both computed forms and the density-matrix oracle give 1 "
+     "(leading qubit maximally mixed)"),
+    ("Phi2 (4 qubits, as printed)", 0.6625,
+     "printed prefactor leaves squared norm 2*sqrt(10) ~= 6.3246, so the "
+     "quadratic forms are far off scale; values shown for the vector as printed"),
+    ("Phi2 (4 qubits, normalized)", 0.6625,
+     "published 0.6625; the normalized state is maximally entangled across "
+     "the leading cut (computed 1, ball origin)"),
+    ("Bell (2 qubits)", 1.0,
+     "equals concurrence squared (oracle column holds concurrence^2 here)"),
+    ("GHZ (3 qubits)", 1.0,
+     "three-tangle {three_tangle:.6g}, two-tangles all 1, classified {classification}"),
+    ("W (3 qubits)", 8.0 / 9.0,
+     "three-tangle {three_tangle:.3g} (vanishes), two-tangles all 8/9, "
+     "classified {classification}"),
+    ("|0>xBell (3 qubits)", 0.0,
+     "leading qubit separable; remaining pair maximally entangled "
+     "(tau per qubit {tau_one_rest[0]:.3g}, {tau_one_rest[1]:.3g}, "
+     "{tau_one_rest[2]:.3g}); classified {classification}"),
+)
 
 
 def conformance_rows():
@@ -198,73 +212,21 @@ def conformance_rows():
     Published E values are reproduced where the arithmetic allows and shown
     side by side with both computed expressions where it does not; the
     density-matrix tau oracle is computed independently of the pair encoding.
+    Every row is read from its state's analysis report.
     """
-    states = {label: parse_state(text, normalize=True) for label, text in PUBLISHED_STATES}
-    rows = []
-
-    rows.append(_row(
-        "GHZ (4 qubits)", 1.0, states["GHZ (4 qubits)"],
-        "matches the published 1; ball point at the origin (maximally entangled)",
-    ))
-    rows.append(_row(
-        "W0 (4 qubits)", 0.5, states["W0 (4 qubits)"],
-        "published 1/2; both computed forms and the density-matrix oracle give 3/4",
-    ))
-    rows.append(_row(
-        "W1 (4 qubits)", 0.75, states["W1 (4 qubits)"],
-        "matches the published 3/4; ball point (0, 0, -1/2)",
-    ))
-    rows.append(_row(
-        "Phi1 (4 qubits)", 8.0 / 9.0, states["Phi1 (4 qubits)"],
-        "published 8/9; both computed forms and the density-matrix oracle give 1 "
-        "(leading qubit maximally mixed)",
-    ))
-
-    # The published prefactor 1/sqrt(2*sqrt(10)) does not normalize this
-    # vector (squared norm 2*sqrt(10) ~= 6.325), so it is evaluated twice:
-    # exactly as printed, and rescaled to unit norm.
+    states = [parse_state(text, normalize=True) for _, text in PUBLISHED_STATES]
+    # The published prefactor 1/sqrt(2*sqrt(10)) does not normalize Phi2
+    # (squared norm 2*sqrt(10) ~= 6.325), so it is evaluated twice: exactly
+    # as printed, and rescaled to unit norm.
     _, raw = parse_amplitudes(PUBLISHED_STATES[4][1])
-    printed = QubitState(4, raw / np.sqrt(2.0 * np.sqrt(10.0)), _norm_tol=None)
-    printed_bc = base_coordinates(printed)
-    rows.append(ConformanceRow(
-        "Phi2 (4 qubits, as printed)", 0.6625,
-        printed_bc.e_complement, printed_bc.e_sum, tau_one_rest(printed, 0),
-        "printed prefactor leaves squared norm 2*sqrt(10) ~= 6.3246, so the "
-        "quadratic forms are far off scale; values shown for the vector as printed",
-    ))
-    rows.append(_row(
-        "Phi2 (4 qubits, normalized)", 0.6625, states["Phi2 (4 qubits)"],
-        "published 0.6625; the normalized state is maximally entangled across "
-        "the leading cut (computed 1, ball origin)",
-    ))
-
-    bell = states["Bell (2 qubits)"]
-    rows.append(ConformanceRow(
-        "Bell (2 qubits)", 1.0,
-        *e_measure(bell)[:2], concurrence(bell) ** 2,
-        "equals concurrence squared (oracle column holds concurrence^2 here)",
-    ))
-
-    ghz3 = states["GHZ (3 qubits)"]
-    rows.append(_row(
-        "GHZ (3 qubits)", 1.0, ghz3,
-        f"three-tangle {three_tangle(ghz3):.6g}, two-tangles all 1, "
-        f"classified {classify_three(ghz3)}",
-    ))
-    w3 = states["W (3 qubits)"]
-    rows.append(_row(
-        "W (3 qubits)", 8.0 / 9.0, w3,
-        f"three-tangle {three_tangle(w3):.3g} (vanishes), two-tangles all 8/9, "
-        f"classified {classify_three(w3)}",
-    ))
-    bisep = states["|0>xBell (3 qubits)"]
-    taus = [tau_one_rest(bisep, q) for q in range(3)]
-    rows.append(_row(
-        "|0>xBell (3 qubits)", 0.0, bisep,
-        f"leading qubit separable; remaining pair maximally entangled "
-        f"(tau per qubit {taus[0]:.3g}, {taus[1]:.3g}, {taus[2]:.3g}); "
-        f"classified {classify_three(bisep)}",
-    ))
+    states.insert(4, QubitState(4, raw / np.sqrt(2.0 * np.sqrt(10.0)), _norm_tol=None))
+    rows = []
+    for state, (label, paper_value, note) in zip(states, _CLAIMS):
+        r = analysis_report(state)
+        oracle = r["concurrence"] ** 2 if state.n == 2 else r["tau_one_rest"][0]
+        rows.append(ConformanceRow(
+            label, paper_value, r["e_complement"], r["e_sum"], oracle, note.format(**r)
+        ))
     return rows
 
 
@@ -308,13 +270,12 @@ def _csv_quote(text):
 
 def rows_to_csv(rows):
     out = io.StringIO()
-    out.write("label,paper_value,computed_e_complement,computed_e_sum,oracle_tau,match,note\n")
+    out.write(",".join(ConformanceRow.__slots__) + "\n")
     for r in rows:
-        out.write(
-            f"{_csv_quote(r.label)},{repr(r.paper_value)},{repr(r.computed_e_complement)},"
-            f"{repr(r.computed_e_sum)},{repr(r.oracle_tau)},"
-            f"{'true' if r.match else 'false'},{_csv_quote(r.note)}\n"
-        )
+        fields = r.as_dict().values()
+        out.write(",".join(
+            _csv_quote(v) if isinstance(v, str) else _csv_scalar(v) for v in fields
+        ) + "\n")
     return out.getvalue()
 
 

@@ -115,6 +115,6 @@ def _classify_three(fronts, separable, tol=SEP_TOL):
         return "entangled"
     m = fronts[separable.index(True)].reshape(2, -1)
     rest = m[0] if np.linalg.norm(m[0]) >= np.linalg.norm(m[1]) else m[1]
-    if abs(rest[0] * rest[3] - rest[1] * rest[2]) < tol:
+    if _separable_rows(rest.reshape(1, 2, 2), tol)[0]:
         return "fully-separable"
     return "bi-separable"

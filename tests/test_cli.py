@@ -192,6 +192,19 @@ def test_verify_csv_parses_to_seven_fields(capsys):
     assert records[5][0] == "Phi2 (4 qubits, as printed)"
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "f9443ed2cdc4803d798e26eb86e257f41f58a802f22a2b8af8790c3e50334268"),
+    ("csv", "b9fad52fcba55300e12d4a62ca7304e6a942410dedb24eb1cfac5e82b72d48f0"),
+    ("json", "6a65401f96ea1c9140fb2008cca04ae01f7df8be3dfca316be7167e1c10d82bc"),
+])
+def test_verify_output_is_pinned(capsys, fmt, digest):
+    # sha256 of the table as the hand-built rows, one scalar call per
+    # quantity, first wrote it: every float's repr, note and verdict
+    code, out, _ = _run(capsys, "verify-paper", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_out_file(capsys, tmp_path):
     path = tmp_path / "table.csv"
     code, out, _ = _run(

@@ -1,10 +1,21 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hopfq.braket import parse_state
-from hopfq.cdnum import CDElement, basis, cd_conj, cd_mul, cd_norm_sq, from_complex_pairs
+from hopfq.braket import parse_amplitudes, parse_state
+from hopfq.cdnum import (
+    CDElement,
+    _conj_coeffs,
+    _mul,
+    basis,
+    cd_conj,
+    cd_mul,
+    cd_norm_sq,
+    from_complex_pairs,
+)
 from hopfq.fibration import (
     BaseCoordinates,
     _quotient_blocks_3,
@@ -17,6 +28,7 @@ from hopfq.fibration import (
 )
 from hopfq.reporting import PUBLISHED_STATES
 from hopfq.states import (
+    _encode_pairs,
     basis_state,
     bell_state,
     encode_pair,
@@ -27,6 +39,7 @@ from hopfq.states import (
     w_state,
 )
 from hopfq.tangles import concurrence, partial_trace_to_single, tau_one_rest
+from test_tangles import _apply_local, _haar_unitary
 
 
 def _random_product(n, split, rng):
@@ -149,16 +162,76 @@ def test_e_equals_four_det_rho_3_and_4():
         assert worst < 1e-12
 
 
+def _draw_unit_state(data, n):
+    # A unit n-qubit state normalized from any finite doubles.
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    parts = data.draw(st.lists(finite, min_size=2 << n, max_size=2 << n))
+    assume(any(parts))
+    return make_state(n, np.array(parts).view(np.complex128), normalize=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(2, 4), data=st.data())
 def test_e_complement_is_tau_of_the_leading_qubit(n, data):
     # An identity, not a cross-check: both sides are the same quartic form
     # in the amplitudes, 4 det(rho) of qubit 0, so only rounding parts them.
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    parts = data.draw(st.lists(finite, min_size=2 << n, max_size=2 << n))
-    assume(any(parts))
-    s = make_state(n, np.array(parts).view(np.complex128), normalize=True)
+    s = _draw_unit_state(data, n)
     assert abs(base_coordinates(s).e_complement - tau_one_rest(s, 0)) <= 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 4), data=st.data())
+def test_e_is_a_local_unitary_invariant(n, data):
+    # A Haar-random unitary on one qubit leaves e_complement put for every n
+    # and e_sum for n <= 3; at n = 4 the sum form moves (see the Phi2 test).
+    s = _draw_unit_state(data, n)
+    ops = [np.eye(2)] * n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ops[data.draw(st.integers(0, n - 1))] = _haar_unitary(rng)
+    before, after = base_coordinates(s), base_coordinates(_apply_local(s, ops))
+    assert abs(after.e_complement - before.e_complement) <= 1e-12
+    if n <= 3:
+        assert abs(after.e_sum - before.e_sum) <= 1e-12
+
+
+# The published states whose amplitudes are Gaussian integers over one norm
+# (all but Phi1, which holds sqrt(2)), with their exact E.
+_EXACT_E = {
+    "GHZ (4 qubits)": Fraction(1),
+    "W0 (4 qubits)": Fraction(3, 4),
+    "W1 (4 qubits)": Fraction(3, 4),
+    "Phi2 (4 qubits)": Fraction(1),
+    "Bell (2 qubits)": Fraction(1),
+    "GHZ (3 qubits)": Fraction(1),
+    "W (3 qubits)": Fraction(8, 9),
+    "|0>xBell (3 qubits)": Fraction(0),
+}
+
+
+def _exact_e(g):
+    """(e_complement, e_sum) of g/|g| in Fractions, for Gaussian integers g.
+
+    The pair encoding of integer amplitudes is exact in doubles, and _mul's
+    int8 signs keep object arrays of Fractions exact."""
+    u1, u2 = (np.array([Fraction(c) for c in u[0]], dtype=object) for u in _encode_pairs(g[None]))
+    n1, n2 = (u1 * u1).sum(), (u2 * u2).sum()
+    delta = (n1 - n2) / (n1 + n2)
+    comps = 2 * _mul(u2, _conj_coeffs(u1)) / (n1 + n2)
+    return 1 - delta**2 - comps[0] ** 2 - comps[1] ** 2, (comps[2:] ** 2).sum()
+
+
+@pytest.mark.parametrize("label", list(_EXACT_E))
+def test_e_of_published_states_is_exact_to_rounding(label):
+    text = dict(PUBLISHED_STATES)[label]
+    _, raw = parse_amplitudes(text)
+    scaled = raw / np.abs(raw[raw != 0]).min()
+    g = np.round(scaled.real) + 1j * np.round(scaled.imag)
+    assert np.abs(scaled - g).max() < 1e-9
+    exact = _exact_e(g)
+    assert exact == (_EXACT_E[label], _EXACT_E[label])
+    bc = base_coordinates(parse_state(text, normalize=True))
+    assert abs(bc.e_complement - exact[0]) <= 1e-15
+    assert abs(bc.e_sum - exact[1]) <= 1e-15
 
 
 def test_e_sum_is_not_a_local_unitary_invariant_at_four_qubits():
