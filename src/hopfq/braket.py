@@ -23,24 +23,32 @@ offending token.
 """
 
 import cmath
+import itertools
 import re
 
 import numpy as np
 
 from .states import MAX_QUBITS, make_state
 
-# One alternative per token kind; the first character decides which applies,
-# and OTHER catches whatever no other alternative starts with.
+_BLANKS = " \t\r\n"
+
+# After the blanks before it, a token is a number, a closed ket of 1..MAX_QUBITS
+# bits, a name or an operator, captured in the group; its first character
+# decides which.  A malformed ket or any other character matches uncaptured,
+# so findall returns "" for it.
 _TOKEN = re.compile(
-    r"(?P<NUMBER>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<KET>\|[01]*[>⟩]?)"
-    r"|(?P<NAME>[A-Za-z_]+)"
-    r"|(?P<OP>[-+*/()√])"
-    r"|(?P<NEWLINE>\n)"
-    r"|(?P<BLANK>[ \t\r]+)"
-    r"|(?P<OTHER>.)",
-    re.DOTALL,
+    r"[ \t\r\n]*(?:("
+    r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+    rf"|\|[01]{{1,{MAX_QUBITS}}}[>⟩]"
+    r"|[A-Za-z_]+"
+    r"|[-+*/()√]"
+    r")|\|[01]*[>⟩]?|[^ \t\r\n])"
 )
+
+# First characters of the tokens that may start an atom and bind to the
+# previous atom by juxtaposition: kets, names, "(" and the radical.  Numbers
+# are deliberately absent: "2 3" is an error.
+_IMPLICIT = frozenset("|(√_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 # Each nesting level takes a few stack frames of the recursive-descent
 # parser; the cap keeps deep input well inside Python's recursion limit.
@@ -56,38 +64,36 @@ class ParseError(ValueError):
         self.col = col
 
 
+def _locate(text, index):
+    """(line, col, token text) of token `index` of text; past the last token,
+    the end of input.  Blanks are stripped from the end first, as in
+    _tokenize: on a long blank tail the pattern takes quadratic time."""
+    m = next(itertools.islice(_TOKEN.finditer(text.rstrip(_BLANKS)), index, None), None)
+    tok = m.group().lstrip(_BLANKS) if m else ""
+    offset = m.end() - len(tok) if m else len(text)
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1, tok
+
+
 def _tokenize(text):
-    """(kind, text, line, col) tuples ending in an EOF token.  An operator's
-    kind is its own character; a ket's text is its bits."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind, tok, col = m.lastgroup, m.group(), m.start() - line_start + 1
-        if kind == "BLANK":
-            continue
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-            continue
-        if kind == "OP":
-            kind = tok
-        elif kind == "KET":
-            bits = tok[1:].rstrip(">⟩")
-            if not bits:
-                raise ParseError("ket needs at least one bit after '|'", line, col)
-            if len(bits) > MAX_QUBITS:
-                raise ParseError(
-                    f"ket has {len(bits)} bits; supported range is 1..{MAX_QUBITS}",
-                    line,
-                    col,
-                )
-            if len(bits) == len(tok) - 1:
-                raise ParseError("expected '>' to close the ket", line, col)
-            tok = bits
-        elif kind == "OTHER":
-            raise ParseError(f"unexpected character {tok!r}", line, col)
-        tokens.append((kind, tok, line, col))
-    tokens.append(("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+    """The token strings of text, ending in "" for the end of input.  The first
+    malformed token raises before anything is evaluated; positions are found
+    only then."""
+    tokens = _TOKEN.findall(text.rstrip(_BLANKS))
+    if "" not in tokens:
+        tokens.append("")
+        return tokens
+    line, col, tok = _locate(text, tokens.index(""))
+    bits = tok[1:].rstrip(">⟩")
+    if tok[0] != "|":
+        message = f"unexpected character {tok!r}"
+    elif not bits:
+        message = "ket needs at least one bit after '|'"
+    elif len(bits) > MAX_QUBITS:
+        message = f"ket has {len(bits)} bits; supported range is 1..{MAX_QUBITS}"
+    else:
+        message = "expected '>' to close the ket"
+    raise ParseError(message, line, col)
 
 
 # A value is a Python complex (a scalar) or a complex128 array of length
@@ -107,28 +113,22 @@ def _ket(bits):
 
 
 class _Parser:
-    # Token kinds that may start an atom and bind to the previous atom by
-    # juxtaposition.  NUMBER is deliberately absent: "2 3" is an error.
-    _IMPLICIT = ("KET", "NAME", "(", "√")
-
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def error(self, message, at):
+        return ParseError(message, *_locate(self.text, at)[:2])
 
-    def expect(self, kind, what):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(
-                f"expected {what}, found {tok[1]!r}" if tok[0] != "EOF"
-                else f"expected {what}, found end of input",
-                *tok[2:],
-            )
+    def expect(self, tok, what):
+        found = self.tokens[self.pos]
+        if found != tok:
+            # A ket is named by its bits.
+            shown = repr(found[1:-1] if found[:1] == "|" else found) if found else "end of input"
+            raise self.error(f"expected {what}, found {shown}", self.pos)
+        self.pos += 1
 
     def parse(self):
         # Ket arithmetic that leaves the float range raises FloatingPointError
@@ -136,121 +136,120 @@ class _Parser:
         # loops turn into a ParseError at the operator.
         with np.errstate(over="raise", invalid="raise"):
             value = self.expression()
-        kind, text, line, col = self.tokens[self.pos]
-        if kind != "EOF":
-            raise ParseError(f"unexpected {text!r} after expression", line, col)
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self.error(f"unexpected {tok!r} after expression", self.pos)
         return value
 
     def expression(self):
         value = self.product()
-        while self.tokens[self.pos][0] in ("+", "-"):
-            op = self.advance()
+        while self.tokens[self.pos] in ("+", "-"):
+            at = self.pos
+            self.pos += 1
             rhs = self.product()
             try:
-                value = self._add(value, rhs, op)
+                value = self._add(value, rhs, at)
             except FloatingPointError:
-                raise ParseError("value out of floating-point range", *op[2:]) from None
+                raise self.error("value out of floating-point range", at) from None
         return value
 
     def product(self):
         value = self.unary()
         while True:
-            op = self.tokens[self.pos]
-            if op[0] in ("*", "/"):
+            at = self.pos
+            tok = self.tokens[at]
+            if tok in ("*", "/"):
                 self.pos += 1
-            elif op[0] not in self._IMPLICIT:
+            elif tok[:1] not in _IMPLICIT:
                 return value
             rhs = self.unary()
             try:
-                value = self._combine(value, rhs, op)
+                value = self._combine(value, rhs, at)
             except FloatingPointError:
-                raise ParseError("value out of floating-point range", *op[2:]) from None
+                raise self.error("value out of floating-point range", at) from None
 
     def unary(self):
         flip = False
-        while self.tokens[self.pos][0] in ("-", "+"):
-            if self.advance()[0] == "-":
-                flip = not flip
+        while self.tokens[self.pos] in ("-", "+"):
+            flip ^= self.tokens[self.pos] == "-"
+            self.pos += 1
         # Every nesting level, whether (...), sqrt(...) or a radical, passes
         # through here once.
         if self.depth == MAX_NESTING:
-            _, _, line, col = self.tokens[self.pos]
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.pos)
         self.depth += 1
         value = self.atom()
         self.depth -= 1
         return -value if flip else value
 
     def atom(self):
-        tok = kind, text, line, col = self.advance()
-        if kind == "NUMBER":
-            value = float(text)
+        at, tok = self.pos, self.tokens[self.pos]
+        self.pos += 1
+        if tok[:1].isdecimal():
+            value = float(tok)
             if not cmath.isfinite(value):
-                raise ParseError(f"number {text} is out of range", line, col)
+                raise self.error(f"number {tok} is out of range", at)
             return complex(value)
-        if kind == "KET":
-            return _ket(text)
-        if kind == "(":
+        if tok[:1] == "|":
+            return _ket(tok[1:-1])
+        if tok == "(":
             value = self.expression()
             self.expect(")", "')'")
             return value
-        if kind == "NAME":
-            if text == "i":
-                return 1j
-            if text == "sqrt":
-                self.expect("(", "'(' after sqrt")
-                inner = self.expression()
-                self.expect(")", "')'")
-                return self._sqrt(inner, tok)
-            raise ParseError(f"unknown name {text!r}", line, col)
-        if kind == "√":
-            if self.tokens[self.pos][0] == "(":
+        if tok == "i":
+            return 1j
+        if tok == "sqrt":
+            self.expect("(", "'(' after sqrt")
+            inner = self.expression()
+            self.expect(")", "')'")
+            return self._sqrt(inner, at)
+        if tok == "√":
+            if self.tokens[self.pos] == "(":
                 self.pos += 1
                 inner = self.expression()
                 self.expect(")", "')'")
             else:
                 inner = self.unary()
-            return self._sqrt(inner, tok)
-        if kind == "EOF":
-            raise ParseError("unexpected end of input", line, col)
-        raise ParseError(f"unexpected {text!r}", line, col)
+            return self._sqrt(inner, at)
+        if not tok:
+            raise self.error("unexpected end of input", at)
+        if tok[0] in _IMPLICIT:  # a name: kets, "(" and "√" are handled above
+            raise self.error(f"unknown name {tok!r}", at)
+        raise self.error(f"unexpected {tok!r}", at)
 
-    @staticmethod
-    def _sqrt(z, tok):
+    def _sqrt(self, z, at):
         if isinstance(z, np.ndarray):
-            raise ParseError("sqrt of a ket expression", *tok[2:])
+            raise self.error("sqrt of a ket expression", at)
         if z.imag != 0.0 or z.real < 0.0:
-            raise ParseError("sqrt argument must be a nonnegative real", *tok[2:])
+            raise self.error("sqrt argument must be a nonnegative real", at)
         return complex(np.sqrt(z.real))
 
-    @staticmethod
-    def _add(lhs, rhs, op):
+    def _add(self, lhs, rhs, at):
         ket = isinstance(lhs, np.ndarray)
         if ket != isinstance(rhs, np.ndarray):
-            raise ParseError("cannot add a scalar and a ket expression", *op[2:])
+            raise self.error("cannot add a scalar and a ket expression", at)
         if ket and len(lhs) != len(rhs):
-            raise ParseError(
+            raise self.error(
                 f"mixed ket lengths ({len(lhs).bit_length() - 1} and "
                 f"{len(rhs).bit_length() - 1} bits)",
-                *op[2:],
+                at,
             )
-        total = lhs - rhs if op[0] == "-" else lhs + rhs
+        total = lhs - rhs if self.tokens[at] == "-" else lhs + rhs
         return total if ket else _finite(total)
 
-    @staticmethod
-    def _combine(lhs, rhs, op):
+    def _combine(self, lhs, rhs, at):
         # Scalars stay Python complex and multiply a ket from the left: numpy's
         # complex loops may round differently from Python's, so operand types
         # and order fix the bits of every result.
         lket, rket = isinstance(lhs, np.ndarray), isinstance(rhs, np.ndarray)
-        if op[0] == "/":
+        if self.tokens[at] == "/":
             if rket:
-                raise ParseError("cannot divide by a ket expression", *op[2:])
+                raise self.error("cannot divide by a ket expression", at)
             if rhs == 0:
-                raise ParseError("division by zero", *op[2:])
+                raise self.error("division by zero", at)
             return lhs / rhs if lket else _finite(lhs / rhs)
         if lket and rket:
-            raise ParseError("cannot multiply two ket expressions", *op[2:])
+            raise self.error("cannot multiply two ket expressions", at)
         if lket:
             return rhs * lhs
         return lhs * rhs if rket else _finite(lhs * rhs)

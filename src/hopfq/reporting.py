@@ -6,8 +6,11 @@ into ordered dictionaries and rows; serialization helpers keep float output
 lossless (repr round-trips doubles exactly).
 """
 
+import functools
 import io
+import itertools
 import json
+import re
 
 import numpy as np
 
@@ -72,18 +75,23 @@ def analysis_report(state):
     return report
 
 
-def _flat_items(report):
-    """Flatten the report into (name, scalar) pairs for CSV output."""
+def _flatten(report):
+    """The report's shape and its scalar values in order.  The shape is one
+    (key, layout) pair per field, the layout being None for a scalar, the
+    length of a list of scalars, or the lengths of a list of lists."""
+    # Tuples are built from lists: tuple() of a map resizes its result, and
+    # each call would leave a tuple on CPython's free lists (2000 per size).
+    shape, values = [], []
     for key, value in report.items():
-        if key == "amplitudes":
-            for k, (re_, im) in enumerate(value):
-                yield f"amp_{k}_re", re_
-                yield f"amp_{k}_im", im
-        elif isinstance(value, list):
-            for k, item in enumerate(value):
-                yield f"{key}_{k}", item
+        if not isinstance(value, list):
+            layout, value = None, [value]
+        elif value and isinstance(value[0], list):
+            layout, value = tuple(list(map(len, value))), itertools.chain.from_iterable(value)
         else:
-            yield key, value
+            layout = len(value)
+        shape.append((key, layout))
+        values.extend(value)
+    return tuple(shape), values
 
 
 def _csv_scalar(value):
@@ -94,41 +102,48 @@ def _csv_scalar(value):
     return str(value)
 
 
-_JSON_WORDS = {"True": "true", "False": "false",
-               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The writers fill one %s template per report shape; the four qubit counts
+# give four shapes, so a few entries hold every real report.
+@functools.lru_cache(maxsize=16)
+def _json_template(shape):
+    # json.dumps lays the shape out with null in each value's place.  A null
+    # that ends a line is a value: no key's text holds a line break.
+    nulls = {key: None if layout is None else [None] * layout if isinstance(layout, int)
+             else [[None] * size for size in layout] for key, layout in shape}
+    return re.sub(r"null(?=,?\n)", "%s", json.dumps(nulls, indent=2).replace("%", "%%") + "\n")
 
 
-def _json_texts(values):
-    # The JSON text of each number or boolean: json.dumps writes their repr,
-    # except for the spellings in _JSON_WORDS (booleans, non-finite floats).
-    return [_JSON_WORDS.get(t, t) for t in map(repr, values)]
+@functools.lru_cache(maxsize=16)
+def _csv_template(shape):
+    names = []
+    for key, layout in shape:
+        if layout is None:
+            names.append(key)
+        elif isinstance(layout, int):
+            names += [f"{key}_{k}" for k in range(layout)]
+        elif key == "amplitudes":
+            names += [f"amp_{k}_{part}" for k in range(len(layout)) for part in ("re", "im")]
+        else:
+            names += [f"{key}_{k}_{j}" for k, size in enumerate(layout) for j in range(size)]
+    return "field,value\n" + "".join(name.replace("%", "%%") + ",%s\n" for name in names)
+
+
+# json.dumps's own spelling of every value, one per line: with ensure_ascii
+# no value's text holds a line break.
+_JSON_VALUES = json.JSONEncoder(separators=("\n", ":"))
 
 
 def report_to_json(report):
     """The report as json.dumps(report, indent=2) + newline writes it, for
-    the report's fixed shape: scalars, flat lists and the [re, im] pairs."""
-    items = []
-    for key, value in report.items():
-        if isinstance(value, str):
-            text = json.dumps(value)
-        elif not isinstance(value, list):
-            text = _json_texts([value])[0]
-        elif isinstance(value[0], list):
-            parts = iter(_json_texts([x for pair in value for x in pair]))
-            pairs = [f"[\n      {re_},\n      {im}\n    ]" for re_, im in zip(parts, parts)]
-            text = "[\n    " + ",\n    ".join(pairs) + "\n  ]"
-        else:
-            text = "[\n    " + ",\n    ".join(_json_texts(value)) + "\n  ]"
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+    reports whose values are scalars, lists of scalars and lists of lists."""
+    shape, values = _flatten(report)
+    return _json_template(shape) % tuple(_JSON_VALUES.encode(values)[1:-1].splitlines())
 
 
 def report_to_csv(report):
-    out = io.StringIO()
-    out.write("field,value\n")
-    for name, value in _flat_items(report):
-        out.write(f"{name},{_csv_scalar(value)}\n")
-    return out.getvalue()
+    """One field,value line per scalar; amplitude k is amp_k_re, amp_k_im."""
+    shape, values = _flatten(report)
+    return _csv_template(shape) % tuple(list(map(_csv_scalar, values)))
 
 
 class ConformanceRow:

@@ -10,6 +10,7 @@ results for every qubit count.
 """
 
 import json
+import numbers
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class QubitState:
     __slots__ = ("n", "amps")
 
     def __init__(self, n, amps, _norm_tol=NORM_TOL_INPUT):
-        if not 1 <= n <= MAX_QUBITS:
-            raise ShapeError(f"qubit count must be 1..{MAX_QUBITS}, got {n}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= MAX_QUBITS:
+            raise ShapeError(f"qubit count must be an integer in 1..{MAX_QUBITS}, got {n!r}")
         arr = np.asarray(amps, dtype=np.complex128).copy()
         if arr.shape != (1 << n,):
             raise ShapeError(f"{n} qubits need {1 << n} amplitudes, got shape {arr.shape}")
@@ -79,7 +80,10 @@ def make_state(n, amps, normalize=False):
     rescaled to unit norm and validated again; only the zero vector is
     rejected.
     """
-    arr = np.asarray(amps, dtype=np.complex128)
+    try:
+        arr = np.asarray(amps, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise StateError("amplitudes must be numbers") from None
     if arr.ndim != 1:
         raise ShapeError(f"amplitudes must be a flat vector, got shape {arr.shape}")
     if not normalize:
@@ -353,13 +357,10 @@ def state_from_json(text, normalize=False):
     """Parse the interchange format; validates shape and normalization."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise StateError(f"invalid state file: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "amplitudes" not in obj:
         raise StateError('state file must be an object with "n" and "amplitudes"')
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ShapeError("state file field 'n' must be an integer")
     pairs = obj["amplitudes"]
     try:
         # complex() takes a bool as 0 or 1; JSON true/false is no amplitude.
@@ -368,7 +369,9 @@ def state_from_json(text, normalize=False):
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError):
         raise StateError("state file amplitudes must be [re, im] pairs") from None
-    return make_state(n, amps, normalize=normalize)
+    except OverflowError:
+        raise StateError("state file amplitude is out of the float range") from None
+    return make_state(obj["n"], amps, normalize=normalize)
 
 
 def read_state_file(path, normalize=False):

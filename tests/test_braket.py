@@ -139,6 +139,19 @@ def test_error_positions():
     assert err.line == 2
     err = _err("")
     assert err.line == 1 and err.col == 1
+    # "\r" is a blank inside its line, a tab one column; only "\n" breaks lines
+    cases = {
+        "|0>\r\n+ @": (2, 3),                  # CRLF, error on line 2
+        "|00>\r\n\t+ |11\r\n": (2, 4),          # unclosed ket, CRLF after it
+        "|0> +\n\n": (3, 1),                   # end of input after newlines
+        "(|0>\r\n  ": (2, 3),                  # ... after trailing blanks
+        "|0>\t@": (1, 5),                      # tab before a bad character
+        "|0>\n+ |01": (2, 3),                  # ket error after a newline
+        "|0> +\n |00000>": (2, 2),             # too many bits after a newline
+    }
+    for text, position in cases.items():
+        err = _err(text)
+        assert (err.line, err.col) == position, text
 
 
 def test_error_messages():

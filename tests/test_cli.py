@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import importlib.metadata
@@ -6,12 +7,25 @@ import io
 import json
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_braket import _FUZZ_ALPHABET
 
 import hopfq.cli as cli
-from hopfq.states import StateError, ghz_state, permute_qubits, read_state_file, state_to_json
+from hopfq.braket import ParseError, parse_state
+from hopfq.states import (
+    StateError,
+    ghz_state,
+    make_state,
+    permute_qubits,
+    read_state_file,
+    state_from_json,
+    state_to_json,
+)
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -149,6 +163,18 @@ def test_analyze_unreadable_state_file_exit_2(capsys, tmp_path):
         read_state_file(tmp_path / "missing.json")
 
 
+def test_integer_amplitude_past_the_float_range_exit_2(capsys, tmp_path):
+    # 1e400 as a float literal is a StateError already; as an integer too
+    doc = '{"n": 1, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400)
+    with pytest.raises(StateError, match="out of the float range"):
+        state_from_json(doc)
+    path = tmp_path / "big.json"
+    path.write_text(doc, encoding="utf-8")
+    code, out, err = _run(capsys, "analyze", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "float range" in err
+
+
 def test_analyze_rerun_byte_identical(capsys):
     args = ("analyze", "--state", "(|0000>+|1111>)/sqrt(2)")
     _, first, _ = _run(capsys, *args)
@@ -242,6 +268,92 @@ def test_sample_unwritable_path(capsys, tmp_path):
         "sample", "--qubits", "2", "--count", "1", "--out", str(target),
     )
     assert code == 2 and "cannot write" in err
+
+
+# Inputs for the typed-errors properties: state text over the parser's fuzz
+# alphabet, state documents (JSON of any part type, raw text, deep nesting)
+# and make_state arguments.
+_STATE_TEXTS = st.text(st.sampled_from(_FUZZ_ALPHABET), max_size=30)
+_JSON_PARTS = (st.floats() | st.integers(-(10**400), 10**400) | st.booleans()
+               | st.none() | st.text(max_size=3))
+_STATE_DOCS = st.one_of(
+    st.fixed_dictionaries({
+        "n": st.integers(-1, 6) | _JSON_PARTS,
+        "amplitudes": st.lists(st.lists(_JSON_PARTS, max_size=3), max_size=17) | _JSON_PARTS,
+    }).map(json.dumps),
+    st.text(max_size=30),
+    st.integers(1, 10**5).map(lambda k: "[" * k),
+)
+_QUBIT_COUNTS = st.integers(-1, 6) | st.sampled_from((True, 2.0, "2", None))
+_AMPLITUDES = st.one_of(
+    st.lists(st.floats() | st.complex_numbers() | st.integers(-(10**400), 10**400)
+             | st.none(), max_size=17),
+    st.lists(st.lists(st.floats(), max_size=3), max_size=5),
+    st.text(max_size=4),
+)
+
+
+def _argv(data, directory):
+    # One command line over the four subcommands with bounded flag values.
+    command = data.draw(st.sampled_from(("analyze", "verify-paper", "sample", "zero-divisors")))
+    if command == "analyze":
+        state = data.draw(_STATE_TEXTS)
+        if data.draw(st.booleans()):
+            state = str(directory / "state.json")
+            pathlib.Path(state).write_text(data.draw(_STATE_DOCS), encoding="utf-8")
+        argv = [command, f"--state={state}", f"--qubit={data.draw(st.integers(-2, 5))}"]
+        argv += data.draw(st.sampled_from(([], ["--normalize"])))
+        argv += data.draw(st.sampled_from(([], ["--format=csv"], ["--format=xml"])))
+    elif command == "verify-paper":
+        argv = [command] + data.draw(st.sampled_from(([], ["--strict"])))
+        argv += data.draw(st.sampled_from(([], ["--format=json"], ["--format=csv"])))
+    elif command == "sample":
+        argv = [command, f"--qubits={data.draw(st.integers(0, 5))}",
+                f"--count={data.draw(st.integers(-2, 50))}",
+                f"--seed={data.draw(st.integers(-3, 2**70))}"]
+    else:
+        argv = [command] + data.draw(st.sampled_from(([], ["--table"])))
+        argv += [f"--level={data.draw(st.integers(-1, 5))}"]
+    out = data.draw(st.sampled_from((None, "out.txt", "missing/out.txt")))
+    return argv if out is None else argv + [f"--out={directory / out}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_main_ends_in_a_documented_exit(tmp_path_factory, data):
+    # Exit 0-4 as documented, or argparse's usage exit 2: no other exception
+    # and no RuntimeWarning.
+    argv = _argv(data, tmp_path_factory.getbasetemp())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and "usage:" in err.getvalue(), argv
+            return
+    assert code in (0, 1, 2, 3, 4), argv
+    if code in (1, 2, 3):
+        assert err.getvalue().startswith("error: "), argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_entry_points_raise_only_typed_errors(data):
+    entry = data.draw(st.sampled_from(("parse_state", "state_from_json", "make_state")))
+    normalize = data.draw(st.booleans())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            if entry == "parse_state":
+                parse_state(data.draw(_STATE_TEXTS | st.text()), normalize=normalize)
+            elif entry == "state_from_json":
+                state_from_json(data.draw(_STATE_DOCS), normalize=normalize)
+            else:
+                make_state(data.draw(_QUBIT_COUNTS), data.draw(_AMPLITUDES), normalize=normalize)
+        except (ParseError, StateError):
+            pass
 
 
 def test_zero_divisor_census(capsys):

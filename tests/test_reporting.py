@@ -1,13 +1,15 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_fibration import _draw_unit_state
 
 import hopfq.reporting
 import hopfq.tangles
-from hopfq.braket import parse_state
+from hopfq.braket import format_state, parse_state
 from hopfq.fibration import ball_coordinates, base_coordinates, e_measure, is_mes
 from hopfq.reporting import (
     MATCH_TOL,
@@ -26,6 +28,7 @@ from hopfq.reporting import (
     sample_table,
 )
 from hopfq.states import (
+    QubitState,
     bell_state,
     bring_to_front,
     ghz_state,
@@ -350,6 +353,38 @@ def test_stacked_report_is_the_per_qubit_report(n, data):
             assert report["classification"] == classify_three(moved)
 
 
+def _normalized_report(amps):
+    # The JSON report of --normalize on the 17-digit text of these amplitudes.
+    text = format_state(QubitState(len(amps).bit_length() - 1, amps, _norm_tol=None))
+    return report_to_json(analysis_report(parse_state(text, normalize=True)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(-480, 480), data=st.data())
+def test_normalize_is_exact_under_power_of_two_scaling(n, k, data):
+    # Scaling by 2**k is exact while every nonzero part stays a normal double,
+    # and so is make_state's own power-of-two step, so the report cannot
+    # move.  The reference is k = 0, not s: renormalizing s may move its
+    # last bits.
+    s = _draw_unit_state(data, n)
+    parts = s.amps.view(np.float64)
+    scaled = np.ldexp(parts, k)
+    assume(np.all(np.abs(scaled[parts != 0]) >= sys.float_info.min))
+    assume(np.all(np.isfinite(scaled)))
+    assert _normalized_report(scaled.view(np.complex128)) == _normalized_report(s.amps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 4), scale=st.floats(1e-150, 1e150), data=st.data())
+def test_normalize_measures_are_scale_invariant(n, scale, data):
+    s = _draw_unit_state(data, n)
+    before = analysis_report(s)
+    after = json.loads(_normalized_report(s.amps * scale))
+    assert abs(after["e_complement"] - before["e_complement"]) <= 1e-12
+    assert abs(after["e_sum"] - before["e_sum"]) <= 1e-12
+    assert np.max(np.abs(np.subtract(after["tau_one_rest"], before["tau_one_rest"]))) <= 1e-12
+
+
 def test_report_writer_special_values():
     report = {
         "n": 3,
@@ -365,6 +400,30 @@ def test_report_writer_special_values():
     text = report_to_json(report)
     assert text == json.dumps(report, indent=2) + "\n"
     assert '"delta": NaN,' in text and "-Infinity" in text and '"mes": true,' in text
+    csv_text = report_to_csv(report)
+    for line in ("amp_0_re,-0.0", "amp_0_im,nan", "amp_1_re,inf", "amp_1_im,-inf",
+                 "amp_2_re,5e-324", "delta,nan", "comps_2,1.7976931348623157e+308",
+                 "comps_4,1e+16", "comps_5,1e-07", "e_sum,-inf", "norm_defect,-0.0",
+                 "mes,true", "separable_1,false"):
+        assert f"\n{line}\n" in csv_text, line
+    assert csv_text.endswith('\nclassification,bi-"separable" \u00e9\n\n')
+    # A shape no qubit count produces: three amplitude pairs, a list of five
+    # mixed values, a "%" in a key and in a string, and "null" in a key.
+    odd = {
+        "n": 7,
+        "amplitudes": [[0.5, -0.0], [float("nan"), 1e-300], [2.0, 3]],
+        "extra": [1, 2.5, True, -float("inf"), 0.1],
+        "pct%": 0.25,
+        "note": '100% "odd"',
+        "null_ok": False,
+    }
+    assert report_to_json(odd) == json.dumps(odd, indent=2) + "\n"
+    assert report_to_csv(odd) == (
+        "field,value\nn,7\namp_0_re,0.5\namp_0_im,-0.0\namp_1_re,nan\n"
+        "amp_1_im,1e-300\namp_2_re,2.0\namp_2_im,3\nextra_0,1\nextra_1,2.5\n"
+        "extra_2,true\nextra_3,-inf\nextra_4,0.1\npct%,0.25\n"
+        'note,100% "odd"\nnull_ok,false\n'
+    )
 
 
 def _digest_reports():
