@@ -106,10 +106,21 @@ def _finite(z):
     return z
 
 
-def _ket(bits):
-    amps = np.zeros(1 << len(bits), dtype=np.complex128)
-    amps[int(bits, 2)] = 1.0
-    return amps
+def _ket_rows():
+    # Every ket token, ">" and U+27E9 spellings alike, to its read-only row of
+    # the identity matrix of its width.  The evaluator never writes into a
+    # value, so terms share rows; parse_amplitudes copies a bare one.
+    kets = {}
+    for width in range(1, MAX_QUBITS + 1):
+        rows = np.eye(1 << width, dtype=np.complex128)
+        rows.setflags(write=False)
+        for k, row in enumerate(rows):
+            bits = format(k, f"0{width}b")
+            kets[f"|{bits}>"] = kets[f"|{bits}⟩"] = row
+    return kets
+
+
+_KETS = _ket_rows()
 
 
 class _Parser:
@@ -170,34 +181,41 @@ class _Parser:
 
     def unary(self):
         flip = False
-        while self.tokens[self.pos] in ("-", "+"):
-            flip ^= self.tokens[self.pos] == "-"
+        tok = self.tokens[self.pos]
+        while tok in ("-", "+"):
+            flip ^= tok == "-"
             self.pos += 1
+            tok = self.tokens[self.pos]
         # Every nesting level, whether (...), sqrt(...) or a radical, passes
         # through here once.
         if self.depth == MAX_NESTING:
             raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.pos)
-        self.depth += 1
-        value = self.atom()
-        self.depth -= 1
+        # Kets, numbers and "i" are read here; atom reads the rest.
+        value = _KETS.get(tok)
+        if value is not None:
+            self.pos += 1
+        elif tok == "i":
+            self.pos += 1
+            value = 1j
+        elif tok[:1].isdecimal():
+            value = float(tok)
+            if not cmath.isfinite(value):
+                raise self.error(f"number {tok} is out of range", self.pos)
+            self.pos += 1
+            value = complex(value)
+        else:
+            self.depth += 1
+            value = self.atom()
+            self.depth -= 1
         return -value if flip else value
 
     def atom(self):
         at, tok = self.pos, self.tokens[self.pos]
         self.pos += 1
-        if tok[:1].isdecimal():
-            value = float(tok)
-            if not cmath.isfinite(value):
-                raise self.error(f"number {tok} is out of range", at)
-            return complex(value)
-        if tok[:1] == "|":
-            return _ket(tok[1:-1])
         if tok == "(":
             value = self.expression()
             self.expect(")", "')'")
             return value
-        if tok == "i":
-            return 1j
         if tok == "sqrt":
             self.expect("(", "'(' after sqrt")
             inner = self.expression()
@@ -262,6 +280,8 @@ def parse_amplitudes(text):
     amps = _Parser(text).parse()
     if not isinstance(amps, np.ndarray):
         raise ParseError("expression contains no ket terms", 1, 1)
+    if not amps.flags.writeable:  # one bare ket: a shared row of _KETS
+        amps = amps.copy()
     return len(amps).bit_length() - 1, amps
 
 

@@ -225,29 +225,29 @@ def basis_product_table(level):
     return [(a, b, int(signs[a, b]), a ^ b) for a in range(m) for b in range(m)]
 
 
-# Rows of two-term elements multiplied per step of the census.  The step's
-# term array holds rows * 240 * 16 * 16 doubles at level 4 (1 MB at 2 rows),
-# so small blocks keep the census from raising the process's peak memory.
-_CENSUS_BLOCK = 2
-
-
 @functools.lru_cache(maxsize=None)
 def find_basis_zero_divisors(level):
-    """Exhaustive search for (i_a + s1*i_b)(i_c + s2*i_d) = 0 with a<b, c<d.
+    """Every (i_a + s1*i_b)(i_c + s2*i_d) = 0 with a<b, c<d, read off the sign table.
 
-    Returns a tuple of ((a, s1, b), (c, s2, d)) entries whose product has norm
-    below 1e-12.  Empty for every level up to 3 (division algebras); level 4
-    is the first with zero divisors.
+    The product's four terms land on i_(a^c), i_(a^d), i_(b^c) and i_(b^d).
+    They meet only when a^b = c^d, and then in two pairs, i_(a^c) with
+    i_(b^d) and i_(a^d) with i_(b^c), so the product is exactly zero when
+    both pairs cancel:
+
+        S[a, c] + s1*s2*S[b, d] = 0   and   s2*S[a, d] + s1*S[b, c] = 0.
+
+    Returns a tuple of ((a, s1, b), (c, s2, d)) entries, ordered by the first
+    factor and then the second, each factor in (a, b, s = +1 before -1)
+    order.  Empty for every level up to 3 (division algebras); level 4 is the
+    first with zero divisors.
     """
     m = 1 << level
     keys = [(a, s, b) for a in range(m) for b in range(a + 1, m) for s in (1, -1)]
-    elements = np.zeros((len(keys), m))
-    for row, (a, s, b) in enumerate(keys):
-        elements[row, a] = 1.0
-        elements[row, b] = float(s)
-    found = []
-    for start in range(0, len(keys), _CENSUS_BLOCK):
-        prod = _mul(elements[start:start + _CENSUS_BLOCK, None, :], elements[None, :, :])
-        zero_x, zero_y = np.nonzero(np.max(np.abs(prod), axis=-1) < ZERO_TOL)
-        found += [(keys[start + i], keys[j]) for i, j in zip(zero_x, zero_y)]
-    return tuple(found)
+    a, s, b = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    signs = _sign_table(level).astype(np.int64)
+    # Candidate pairs share a^b = c^d: factor keys[i] times factor keys[j].
+    i, j = np.nonzero((a ^ b)[:, None] == (a ^ b)[None, :])
+    zero = (signs[a[i], a[j]] + s[i] * s[j] * signs[b[i], b[j]] == 0) & (
+        s[j] * signs[a[i], b[j]] + s[i] * signs[b[i], a[j]] == 0
+    )
+    return tuple((keys[x], keys[y]) for x, y in zip(i[zero].tolist(), j[zero].tolist()))

@@ -49,12 +49,12 @@ class QubitState:
         arr = np.asarray(amps, dtype=np.complex128).copy()
         if arr.shape != (1 << n,):
             raise ShapeError(f"{n} qubits need {1 << n} amplitudes, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise StateError("amplitudes must be finite")
         if _norm_tol is not None:
             # Past the float range the squared norm is inf, which fails the check.
             with np.errstate(over="ignore"):
-                total = float(np.sum(np.abs(arr) ** 2))
+                total = float((np.abs(arr) ** 2).sum())
             if abs(total - 1.0) >= _norm_tol:
                 raise NormalizationError(
                     f"squared norm is {total!r}, not 1; pass normalize=True to rescale"
@@ -66,8 +66,40 @@ class QubitState:
     def __setattr__(self, name, value):
         raise AttributeError("QubitState is immutable")
 
+    @classmethod
+    def _reindexed(cls, n, amps):
+        # A state over amps, a complex128 vector gathered from (or a view of)
+        # a validated state's amplitudes, without copying or checking it again.
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "amps", amps)
+        return state
+
     def __repr__(self):
         return f"QubitState(n={self.n})"
+
+
+# Values numpy converts to complex numbers that are not amplitudes: True is 1
+# and "1" or b"1" parse as 1.
+_PUNS = (bool, np.bool_, str, bytes)
+
+
+def _is_pun(amps):
+    # A boolean, string or bytes array, or a list or tuple with such an entry
+    # (numpy would read [True, 0] as integers).
+    if isinstance(amps, _PUNS):
+        return True
+    if isinstance(amps, np.ndarray):
+        if amps.dtype.kind != "O":
+            return amps.dtype.kind in "bSU"
+        amps = amps.ravel().tolist()
+    elif not isinstance(amps, (list, tuple)):
+        return False
+    return any(
+        isinstance(x, _PUNS) or (isinstance(x, np.ndarray) and x.dtype.kind in "bSU")
+        for x in amps
+    )
 
 
 def make_state(n, amps, normalize=False):
@@ -80,6 +112,8 @@ def make_state(n, amps, normalize=False):
     rescaled to unit norm and validated again; only the zero vector is
     rejected.
     """
+    if _is_pun(amps):
+        raise StateError("amplitudes must be numbers, not booleans, strings or bytes")
     try:
         arr = np.asarray(amps, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):
@@ -165,8 +199,7 @@ def permute_qubits(state, perm):
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
     t = state.amps.reshape((2,) * n)
-    out = np.transpose(t, axes=perm).reshape(-1)
-    return QubitState(n, out, _norm_tol=None)
+    return QubitState._reindexed(n, np.transpose(t, axes=perm).reshape(-1))
 
 
 # _FRONT[n][q]: the amplitude indices with qubit q first, the others in order.
@@ -180,7 +213,7 @@ def bring_to_front(state, qubit):
     """Permutation helper: move one qubit into role 0, others keep their order."""
     if not 0 <= qubit < state.n:
         raise ValueError(f"qubit index {qubit} out of range for n={state.n}")
-    return QubitState(state.n, state.amps[_FRONT[state.n][qubit]], _norm_tol=None)
+    return QubitState._reindexed(state.n, state.amps[_FRONT[state.n][qubit]])
 
 
 # numpy's SeedSequence hash: its constants, 32-bit words and the four-word

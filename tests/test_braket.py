@@ -100,6 +100,33 @@ def test_deep_nesting_is_a_parse_error():
     assert np.array_equal(amps, [0, 1])
 
 
+@pytest.mark.parametrize("text, bits", [
+    ("|01>", "00000000"),
+    ("(|01>)", "00000000"),
+    ("-|01>", "11111111"),
+    ("-(|0>+|1>)/sqrt(2)", "1010"),
+    ("|0>-|1>", "0010"),
+    ("i|1>", "0000"),
+    ("1/2*(|10>+|01>)", "00000000"),
+])
+def test_ket_sign_bits(text, bits):
+    # The sign bit of every real and imaginary part, zeros included: kets
+    # that share rows must give the bits of one fresh basis vector per term.
+    _, amps = parse_amplitudes(text)
+    assert "".join(str(int(b)) for b in np.signbit(amps.view(np.float64))) == bits
+
+
+@pytest.mark.parametrize("text", ["|01>", "(|01>)", "+|1⟩", "-|01>", "i|1>", "|0>-|1>"])
+def test_parsed_amplitudes_are_writable_and_unshared(text):
+    _, first = parse_amplitudes(text)
+    expected = first.copy()
+    assert first.flags.writeable
+    first[:] = 7.0
+    _, again = parse_amplitudes(text)
+    assert again.flags.writeable and again is not first
+    assert again.tobytes() == expected.tobytes()
+
+
 def test_leading_sign():
     n, amps = parse_amplitudes("-|1> + |0>")
     assert np.array_equal(amps, [1, -1])

@@ -249,6 +249,24 @@ def test_zero_divisor_census():
         assert 0 < a < b < 16 and 0 < c < 16 and 0 < d < 16 and c != d
 
 
+def test_zero_divisor_census_matches_brute_force():
+    # The sign-table census against every product of two-term elements
+    # under the float kernel, pairs in the same order.
+    for level in range(1, MAX_LEVEL + 1):
+        m = 1 << level
+        keys = [(a, s, b) for a in range(m) for b in range(a + 1, m) for s in (1, -1)]
+        elements = np.zeros((len(keys), m))
+        for row, (a, s, b) in enumerate(keys):
+            elements[row, a] = 1.0
+            elements[row, b] = float(s)
+        found = []
+        for row, x in enumerate(elements):
+            prod = _mul(x[None, :], elements)
+            zero_rows = np.nonzero(np.max(np.abs(prod), axis=-1) < 1e-12)[0]
+            found += [(keys[row], keys[j]) for j in zero_rows]
+        assert find_basis_zero_divisors(level) == tuple(found)
+
+
 def test_basis_product_table_level_2():
     rows = basis_product_table(2)
     assert len(rows) == 16

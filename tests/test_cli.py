@@ -285,12 +285,21 @@ _STATE_DOCS = st.one_of(
     st.integers(1, 10**5).map(lambda k: "[" * k),
 )
 _QUBIT_COUNTS = st.integers(-1, 6) | st.sampled_from((True, 2.0, "2", None))
+# Booleans, strings and bytes numpy would convert to numbers: each is a pun.
+_PUNS = st.booleans() | st.sampled_from(("1", "0", "1e0", b"1", b"0"))
 _AMPLITUDES = st.one_of(
     st.lists(st.floats() | st.complex_numbers() | st.integers(-(10**400), 10**400)
-             | st.none(), max_size=17),
+             | st.none() | _PUNS, max_size=17),
     st.lists(st.lists(st.floats(), max_size=3), max_size=5),
+    st.lists(_PUNS, min_size=1, max_size=17).map(np.array),
     st.text(max_size=4),
 )
+
+
+def _has_pun(amps):
+    if isinstance(amps, np.ndarray):
+        return amps.dtype.kind in "bSU"
+    return isinstance(amps, str) or any(isinstance(x, (bool, str, bytes)) for x in amps)
 
 
 def _argv(data, directory):
@@ -351,7 +360,10 @@ def test_entry_points_raise_only_typed_errors(data):
             elif entry == "state_from_json":
                 state_from_json(data.draw(_STATE_DOCS), normalize=normalize)
             else:
-                make_state(data.draw(_QUBIT_COUNTS), data.draw(_AMPLITUDES), normalize=normalize)
+                amps = data.draw(_AMPLITUDES)
+                make_state(data.draw(_QUBIT_COUNTS), amps, normalize=normalize)
+                # A boolean, string or bytes amplitude never makes a state.
+                assert not _has_pun(amps), amps
         except (ParseError, StateError):
             pass
 

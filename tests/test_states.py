@@ -382,6 +382,23 @@ def test_make_state_validation():
     assert abs(np.sum(np.abs(s.amps) ** 2) - 1.0) < 1e-12
 
 
+def test_make_state_rejects_type_puns():
+    # numpy converts booleans, strings and bytes to numbers; none is an amplitude.
+    for amps in (
+        ["1", "0"],
+        [True, False],
+        np.array([b"1", b"0"]),
+        np.array([True, False]),
+        [True, 0],
+        (1.0, np.bool_(False)),
+        np.array([1.0, "0"], dtype=object),
+        "10",
+    ):
+        for normalize in (False, True):
+            with pytest.raises(StateError, match="booleans, strings or bytes"):
+                make_state(1, amps, normalize=normalize)
+
+
 def test_make_state_stores_verbatim():
     amps = np.array([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], dtype=np.complex128)
     s = make_state(2, amps)
@@ -390,10 +407,13 @@ def test_make_state_stores_verbatim():
 
 def test_state_immutable():
     s = bell_state()
-    with pytest.raises(AttributeError):
-        s.n = 3
-    with pytest.raises((ValueError, RuntimeError)):
-        s.amps[0] = 99.0
+    w = w_state(3)
+    # reindexed states, a gather and a view, share no writable buffer
+    for state in (s, bring_to_front(w, 2), permute_qubits(w, [0, 1, 2])):
+        with pytest.raises(AttributeError):
+            state.n = 3
+        with pytest.raises((ValueError, RuntimeError)):
+            state.amps[0] = 99.0
 
 
 def test_error_hierarchy():
