@@ -14,6 +14,7 @@ auditing, see ``basis_product_table`` and ``data/basis_products_level4.csv``.
 """
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class CDElement:
             raise ValueError(
                 f"level {level} needs {1 << level} coefficients, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "level", level)
@@ -64,10 +65,14 @@ class CDElement:
         return f"CDElement({LEVEL_NAMES[self.level]}: {body})"
 
     def __add__(self, other):
+        if not isinstance(other, CDElement):
+            return NotImplemented
         _check_levels(self, other)
         return CDElement(self.level, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
+        if not isinstance(other, CDElement):
+            return NotImplemented
         _check_levels(self, other)
         return CDElement(self.level, self.coeffs - other.coeffs)
 
@@ -75,17 +80,18 @@ class CDElement:
         return CDElement(self.level, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return CDElement(self.level, self.coeffs * float(other))
-        return cd_mul(self, other)
+        if isinstance(other, CDElement):
+            return cd_mul(self, other)
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return CDElement(self.level, self.coeffs * float(other))
-        return NotImplemented
+        # Real scalars, numpy's included, but not True or False.
+        if not isinstance(other, numbers.Real) or isinstance(other, bool):
+            return NotImplemented
+        return CDElement(self.level, self.coeffs * float(other))
 
-    def is_zero(self, tol=ZERO_TOL):
-        return bool(np.max(np.abs(self.coeffs)) < tol)
+    def is_zero(self):
+        return bool(np.max(np.abs(self.coeffs)) < ZERO_TOL)
 
 
 def zero(level):

@@ -73,7 +73,7 @@ def cmd_analyze(args):
     except StateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE
-    except (ArithmeticError, FloatingPointError) as exc:
+    except ArithmeticError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
@@ -113,7 +113,7 @@ def _format_pair(pair):
 
 def cmd_zero_divisors(args):
     if args.table:
-        rows = basis_product_table(args.level)
+        rows = basis_product_table(MAX_LEVEL if args.level is None else args.level)
         lines = ["a,b,sign,index"]
         lines += [f"{a},{b},{'+' if s > 0 else '-'},{k}" for a, b, s, k in rows]
         return _emit(["\n".join(lines) + "\n"], args.out)
@@ -170,8 +170,7 @@ def build_parser():
         "--level",
         type=int,
         choices=range(MAX_LEVEL + 1),
-        default=MAX_LEVEL,
-        help="algebra level for --table",
+        help=f"algebra level for --table (default {MAX_LEVEL})",
     )
     p.add_argument("--out", help="write to this path instead of standard output")
     p.set_defaults(func=cmd_zero_divisors)
@@ -179,7 +178,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.func is cmd_zero_divisors and args.level is not None and not args.table:
+        parser.error("zero-divisors: --level applies only with --table")
     return args.func(args)
 
 

@@ -93,13 +93,13 @@ def base_coordinates(state):
     )
 
 
-def _snap_unit(v, window=E_SNAP_WINDOW):
+def _snap_unit(v):
     # Strip boundary noise only; genuinely out-of-range values pass through
     # (the sum form can exceed 1 for sedenions, and hiding that would defeat
     # the defect audit).
-    if -window < v < 0.0:
+    if -E_SNAP_WINDOW < v < 0.0:
         return 0.0
-    if 1.0 < v < 1.0 + window:
+    if 1.0 < v < 1.0 + E_SNAP_WINDOW:
         return 1.0
     return v
 
@@ -198,8 +198,8 @@ def _ball(bc):
     return float(bc.comps[0]), float(bc.comps[1]), float(bc.delta)
 
 
-def _at_origin(ball, tol=_MES_TOL):
-    return all(abs(c) < tol for c in ball)
+def _at_origin(ball):
+    return all(abs(c) < _MES_TOL for c in ball)
 
 
 def ball_coordinates(state):
@@ -209,6 +209,6 @@ def ball_coordinates(state):
     return _ball(base_coordinates(state))
 
 
-def is_mes(state, tol=_MES_TOL):
+def is_mes(state):
     """Maximal-entanglement test: the ball point sits at the origin."""
-    return _at_origin(ball_coordinates(state), tol)
+    return _at_origin(ball_coordinates(state))

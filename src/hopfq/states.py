@@ -20,6 +20,8 @@ MAX_QUBITS = 4
 
 NORM_TOL_STRICT = 1e-9
 NORM_TOL_INPUT = 1e-6
+# A squared norm below this is the zero vector, whatever the norm window.
+DEGENERATE_NORM_SQ = 1e-24
 
 
 class StateError(ValueError):
@@ -55,6 +57,8 @@ class QubitState:
             # Past the float range the squared norm is inf, which fails the check.
             with np.errstate(over="ignore"):
                 total = float((np.abs(arr) ** 2).sum())
+            if total < DEGENERATE_NORM_SQ:
+                raise DegenerateStateError("amplitude vector is numerically zero")
             if abs(total - 1.0) >= _norm_tol:
                 raise NormalizationError(
                     f"squared norm is {total!r}, not 1; pass normalize=True to rescale"
@@ -107,10 +111,10 @@ def make_state(n, amps, normalize=False):
 
     Without ``normalize`` the squared norm must sit within 1e-6 of 1 and the
     amplitudes are stored verbatim, so round-trips through the text formats
-    stay bit-exact; a norm below 1e-12 is rejected as numerically zero.  With
-    ``normalize`` any nonzero finite vector, at any scale the floats hold, is
-    rescaled to unit norm and validated again; only the zero vector is
-    rejected.
+    stay bit-exact; a squared norm below 1e-24 is rejected as numerically
+    zero.  With ``normalize`` any nonzero finite vector, at any scale the
+    floats hold, is rescaled to unit norm and validated again; only the zero
+    vector is rejected.
     """
     if _is_pun(amps):
         raise StateError("amplitudes must be numbers, not booleans, strings or bytes")
@@ -121,11 +125,6 @@ def make_state(n, amps, normalize=False):
     if arr.ndim != 1:
         raise ShapeError(f"amplitudes must be a flat vector, got shape {arr.shape}")
     if not normalize:
-        # A norm past the float range is inf, which QubitState rejects.
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(arr))
-        if norm < 1e-12:
-            raise DegenerateStateError("amplitude vector is numerically zero")
         return QubitState(n, arr)
     # Divide by the power of two of the largest real or imaginary part first:
     # exact, so the norm neither overflows nor underflows, and for inputs whose

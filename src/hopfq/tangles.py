@@ -7,7 +7,7 @@ coordinates rather than reusing them.
 
 import numpy as np
 
-from .states import _FRONT
+from .states import _FRONT, bring_to_front
 
 SEP_TOL = 1e-9
 
@@ -17,9 +17,7 @@ _EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def _front_rows(state, qubit):
     """The amplitudes as a 2 x 2**(n-1) matrix: row b holds those with the
     chosen qubit at b, the other qubits in their order."""
-    if not 0 <= qubit < state.n:
-        raise ValueError(f"qubit index {qubit} out of range for n={state.n}")
-    return state.amps[_FRONT[state.n][qubit]].reshape(2, -1)
+    return bring_to_front(state, qubit).amps.reshape(2, -1)
 
 
 def partial_trace_to_single(state, keep):
@@ -85,19 +83,19 @@ def tau_one_rest(state, qubit):
     return float(_tau_first(_front_rows(state, qubit).reshape(1, -1))[0])
 
 
-def _separable_rows(m, tol=SEP_TOL):
+def _separable_rows(m):
     """separable_one_rest of each (2, h) front-row matrix of an (N, 2, h) stack."""
     a, b = m[:, 0], m[:, 1]
     minors = a[:, :, None] * b[:, None, :] - b[:, :, None] * a[:, None, :]
-    return np.abs(minors).max(axis=(1, 2)) < tol
+    return np.abs(minors).max(axis=(1, 2)) < SEP_TOL
 
 
-def separable_one_rest(state, qubit, tol=SEP_TOL):
+def separable_one_rest(state, qubit):
     """True when the chosen qubit factors out: every 2x2 minor vanishes."""
-    return bool(_separable_rows(_front_rows(state, qubit)[None], tol)[0])
+    return bool(_separable_rows(_front_rows(state, qubit)[None])[0])
 
 
-def classify_three(state, tol=SEP_TOL):
+def classify_three(state):
     """Coarse 3-qubit class: 'fully-separable', 'bi-separable', or 'entangled'.
 
     Tries each qubit as the split-off factor; when one splits, the remaining
@@ -106,15 +104,15 @@ def classify_three(state, tol=SEP_TOL):
     if state.n != 3:
         raise ValueError("classification is defined for 3 qubits")
     fronts = state.amps[_FRONT[3]]
-    return _classify_three(fronts, _separable_rows(fronts.reshape(3, 2, -1), tol).tolist(), tol)
+    return _classify_three(fronts, _separable_rows(fronts.reshape(3, 2, -1)).tolist())
 
 
-def _classify_three(fronts, separable, tol=SEP_TOL):
+def _classify_three(fronts, separable):
     # classify_three given the (3, 8) front rows and their separable list.
     if not any(separable):
         return "entangled"
     m = fronts[separable.index(True)].reshape(2, -1)
     rest = m[0] if np.linalg.norm(m[0]) >= np.linalg.norm(m[1]) else m[1]
-    if _separable_rows(rest.reshape(1, 2, 2), tol)[0]:
+    if _separable_rows(rest.reshape(1, 2, 2))[0]:
         return "fully-separable"
     return "bi-separable"

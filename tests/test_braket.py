@@ -175,6 +175,7 @@ def test_error_positions():
         "|0>\t@": (1, 5),                      # tab before a bad character
         "|0>\n+ |01": (2, 3),                  # ket error after a newline
         "|0> +\n |00000>": (2, 2),             # too many bits after a newline
+        b"|0>": (1, 1),                        # not a string
     }
     for text, position in cases.items():
         err = _err(text)

@@ -337,6 +337,24 @@ def test_element_validation():
         CDElement(1, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         CDElement(1, np.array([np.inf, 0.0]))
+    for k in (-1, 4):
+        with pytest.raises(ValueError):
+            basis(2, k)
+    with pytest.raises(ValueError):
+        from_complex_pairs(2, [1, 2, 3])
+    # Operands other than elements and real scalars are TypeErrors, and a
+    # bool is no scalar; numpy integers scale as Python ints do.
+    x = one(2) + basis(2, 1)
+    for other in ("x", None, 2 + 0j, True, np.True_):
+        for op in (lambda: x * other, lambda: other * x, lambda: x + other,
+                   lambda: x - other):
+            with pytest.raises(TypeError):
+                op()
+    for scalar in (np.int64(3), 3, 3.0):
+        assert (x * scalar).coeffs.tolist() == (scalar * x).coeffs.tolist() == [3, 3, 0, 0]
+    assert (x * x).coeffs.tolist() == cd_mul(x, x).coeffs.tolist()
+    assert repr(x) == "CDElement(quaternion: 1 + 1*i1)"
+    assert repr(zero(1)) == "CDElement(complex: 0)"
 
 
 def test_level_mismatch_rejected():

@@ -399,6 +399,18 @@ def test_zero_divisor_table(capsys):
     assert len(lines) == 17
 
 
+def test_zero_divisor_level_needs_table(capsys):
+    # --level picks the table's level; without --table it is a usage error,
+    # and --table alone is the level-4 table.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["zero-divisors", "--level", "2"])
+    assert exc.value.code == 2
+    assert "--level applies only with --table" in capsys.readouterr().err
+    assert _run(capsys, "zero-divisors", "--table") == _run(
+        capsys, "zero-divisors", "--table", "--level", "4"
+    )
+
+
 def test_zero_divisor_table_matches_shipped_data(capsys):
     code, out, _ = _run(capsys, "zero-divisors", "--table", "--level", "4")
     assert code == 0

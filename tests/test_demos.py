@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -8,6 +9,16 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# sha256 of each demo's standard output (UTF-8); a change to what a demo
+# prints, on purpose or not, shows here.
+STDOUT_SHA256 = {
+    "ball_map.py": "9e0e7d25c97b283a1b5d8979197658ceb1debea8512816d8f004c254e698672f",
+    "cayley_dickson_tour.py": "6911127a0064035f29fe82923ee7c7dbf8be8cf79dbcc85128a1bb341f96ae1c",
+    "entanglement_audit.py": "2a2b0038c347f179d95255b7e25d88e1a3d6276fd65633f9b5f3415b05da28d9",
+    "hopf_coordinates.py": "931e42f71c28545bbb2b169767e04556a4bfe42702e7c06e525ae1a2405c3228",
+    "state_language.py": "e9247fa4c2a8afe629ef165758c8602da5646a213ef33ff80920871964083043",
+}
+
 
 def test_demos_found():
     assert DEMOS
@@ -17,8 +28,8 @@ def test_demos_found():
 def test_demo_runs_clean(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(path)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stderr == ""
+    env["PYTHONIOENCODING"] = "utf-8"
+    result = subprocess.run([sys.executable, str(path)], env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert result.stderr == b""
+    assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[path.name]

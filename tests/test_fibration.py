@@ -366,6 +366,8 @@ def test_quotient_numerators_equal_the_product_form():
 def test_quotient_rejects_single_qubit():
     with pytest.raises(ValueError):
         hopf_quotient(random_state(1, seed=69))
+    with pytest.raises(ValueError):
+        e_measure(random_state(1, seed=69))
 
 
 def test_ball_radius_identity():

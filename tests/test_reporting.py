@@ -304,9 +304,9 @@ def test_report_tests_each_qubit_for_separability_once(monkeypatch):
     ] + [(random_state(3, seed=12, index=k), [False] * 3, "entangled") for k in range(3)]
     stacks, gathers = [], []
 
-    def counted_rows(m, tol=hopfq.tangles.SEP_TOL):
+    def counted_rows(m):
         stacks.append(m.shape)
-        return _separable_rows(m, tol)
+        return _separable_rows(m)
 
     front_rows = hopfq.tangles._front_rows
 
@@ -426,13 +426,14 @@ def test_report_writer_special_values():
         "pct%": 0.25,
         "note": '100% "odd"',
         "null_ok": False,
+        "grid": [[1, 2.0], [False]],
     }
     assert report_to_json(odd) == json.dumps(odd, indent=2) + "\n"
     assert report_to_csv(odd) == (
         "field,value\nn,7\namp_0_re,0.5\namp_0_im,-0.0\namp_1_re,nan\n"
         "amp_1_im,1e-300\namp_2_re,2.0\namp_2_im,3\nextra_0,1\nextra_1,2.5\n"
         "extra_2,true\nextra_3,-inf\nextra_4,0.1\npct%,0.25\n"
-        'note,100% "odd"\nnull_ok,false\n'
+        'note,100% "odd"\nnull_ok,false\ngrid_0_0,1\ngrid_0_1,2.0\ngrid_1_0,false\n'
     )
 
 

@@ -152,6 +152,11 @@ def test_bring_to_front():
     assert np.array_equal(front.amps, direct.amps)
     same = bring_to_front(s, 0)
     assert np.array_equal(same.amps, s.amps)
+    assert repr(front) == "QubitState(n=3)"
+    # -1 must not wrap around to the last qubit, and n must not reach numpy
+    for q in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            bring_to_front(s, q)
 
 
 def test_random_state_deterministic():
@@ -367,8 +372,15 @@ def test_json_normalization_control():
 def test_make_state_validation():
     with pytest.raises(DegenerateStateError):
         make_state(2, np.zeros(4))
+    with pytest.raises(DegenerateStateError):
+        QubitState(2, np.zeros(4))
+    # The shape is checked before the norm, zero vector or not.
+    with pytest.raises(ShapeError):
+        make_state(5, np.zeros(32))
     with pytest.raises(ShapeError):
         make_state(2, np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        make_state(1, 1.0)
     with pytest.raises(ShapeError):
         make_state(5, np.ones(32) / np.sqrt(32))
     with pytest.raises(ShapeError):

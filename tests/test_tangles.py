@@ -110,6 +110,9 @@ def test_hyperdeterminant_ghz():
     det = hyperdeterminant_222(ghz_state(3))
     assert abs(det - (-0.25)) < 1e-15
     assert abs(three_tangle(ghz_state(3)) - 1.0) < 1e-12
+    for s in (bell_state(), ghz_state(4)):
+        with pytest.raises(ValueError):
+            hyperdeterminant_222(s)
 
 
 def test_hyperdeterminant_matches_quartic_polynomial():
@@ -152,6 +155,9 @@ def test_two_tangles_ghz_and_w():
     assert all(abs(t - 1.0) < 1e-12 for t in taus)
     taus = two_tangles(w_state(3))
     assert all(abs(t - 8.0 / 9.0) < 1e-12 for t in taus)
+    for s in (bell_state(), ghz_state(4)):
+        with pytest.raises(ValueError):
+            two_tangles(s)
 
 
 def test_two_tangles_partial_product():
