@@ -16,7 +16,18 @@ auditing, see ``basis_product_table`` and ``data/basis_products_level4.csv``.
 import functools
 import numbers
 
-import numpy as np
+
+class _Numpy:
+    """numpy until its first read, which imports it and rebinds ``np`` to it."""
+
+    def __getattr__(self, attr):
+        global np
+        import numpy as np
+
+        return getattr(np, attr)
+
+
+np = _Numpy()
 
 MAX_LEVEL = 4
 
@@ -156,17 +167,38 @@ def _mul_recursive(a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _sign_table(level):
-    """Read-only int8 table S with i_a * i_b = S[a, b] * i_(a XOR b).
+def _sign_rows(level):
+    """Rows of +-1 ints S with i_a * i_b = S[a][b] * i_(a XOR b).
 
-    Derived from one broadcast product of every pair of basis units under
-    the recursive rule.
+    The doubling rule on basis units, one level from the one below: with
+    h = 2**(level-1), i_k = (i_k, 0) for k < h and (0, i_(k-h)) otherwise,
+    and the quadrants of S follow from S' one level down:
+
+        a < h,  b < h:   S'[a][b]
+        a < h,  b >= h:  S'[b-h][a]
+        a >= h, b < h:   c(b) * S'[a-h][b]
+        a >= h, b >= h:  -c(b-h) * S'[b-h][a-h]
+
+    where c(k) is the sign conj(i_k) carries: c(0) = 1, c(k) = -1 otherwise.
     """
-    m = 1 << level
-    eye = np.eye(m)
-    prod = _mul_recursive(eye[:, None, :], eye[None, :, :])
-    a, b = np.indices((m, m))
-    table = prod[a, b, a ^ b].astype(np.int8)
+    if level == 0:
+        return ((1,),)
+    below = _sign_rows(level - 1)
+    h = len(below)
+    conj = [1] + [-1] * (h - 1)
+    top = [row + tuple(below[b][a] for b in range(h)) for a, row in enumerate(below)]
+    bottom = [
+        tuple(conj[b] * row[b] for b in range(h))
+        + tuple(-conj[b] * below[b][a] for b in range(h))
+        for a, row in enumerate(below)
+    ]
+    return tuple(top + bottom)
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_table(level):
+    """``_sign_rows(level)`` as a read-only int8 array S[a, b], for the kernels."""
+    table = np.array(_sign_rows(level), np.int8)
     table.setflags(write=False)
     return table
 
@@ -213,22 +245,20 @@ def cd_norm_sq(x):
 
 
 def cd_inverse(x):
-    """Multiplicative inverse conj(x)/||x||^2; raises on zero norm.
+    """Multiplicative inverse conj(x)/||x||^2; raises when ``x.is_zero()``.
 
     At level 4 an inverse always exists for nonzero x even though zero
     divisors do: x * cd_inverse(x) = 1 while x * y = 0 for some other y.
     """
-    nsq = cd_norm_sq(x)
-    if nsq < ZERO_TOL**2:
+    if x.is_zero():
         raise SingularElementError("cannot invert an element of zero norm")
-    return CDElement(x.level, _conj_coeffs(x.coeffs) / nsq)
+    return CDElement(x.level, _conj_coeffs(x.coeffs) / cd_norm_sq(x))
 
 
 def basis_product_table(level):
     """All basis products as rows (a, b, sign, index) with i_a*i_b = sign*i_index."""
-    m = 1 << level
-    signs = _sign_table(level)
-    return [(a, b, int(signs[a, b]), a ^ b) for a in range(m) for b in range(m)]
+    rows = _sign_rows(level)
+    return [(a, b, s, a ^ b) for a, row in enumerate(rows) for b, s in enumerate(row)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,12 +278,16 @@ def find_basis_zero_divisors(level):
     first with zero divisors.
     """
     m = 1 << level
+    signs = _sign_rows(level)
     keys = [(a, s, b) for a in range(m) for b in range(a + 1, m) for s in (1, -1)]
-    a, s, b = np.array(keys, dtype=np.int64).reshape(-1, 3).T
-    signs = _sign_table(level).astype(np.int64)
-    # Candidate pairs share a^b = c^d: factor keys[i] times factor keys[j].
-    i, j = np.nonzero((a ^ b)[:, None] == (a ^ b)[None, :])
-    zero = (signs[a[i], a[j]] + s[i] * s[j] * signs[b[i], b[j]] == 0) & (
-        s[j] * signs[a[i], b[j]] + s[i] * signs[b[i], a[j]] == 0
+    # Candidate second factors share the first's a^b; key order is kept.
+    groups = {}
+    for key in keys:
+        groups.setdefault(key[0] ^ key[2], []).append(key)
+    return tuple(
+        ((a, s1, b), (c, s2, d))
+        for a, s1, b in keys
+        for c, s2, d in groups[a ^ b]
+        if signs[a][c] + s1 * s2 * signs[b][d] == 0
+        and s2 * signs[a][d] + s1 * signs[b][c] == 0
     )
-    return tuple((keys[x], keys[y]) for x, y in zip(i[zero].tolist(), j[zero].tolist()))

@@ -15,19 +15,9 @@ import argparse
 import os
 import sys
 
-from .braket import ParseError, parse_state
-from .cdnum import LEVEL_NAMES, MAX_LEVEL, basis_product_table, find_basis_zero_divisors
-from .reporting import (
-    analyze_state,
-    conformance_rows,
-    report_to_csv,
-    report_to_json,
-    rows_to_csv,
-    rows_to_json,
-    rows_to_text,
-    sample_rows,
-)
-from .states import StateError, read_state_file
+# Modules, not names: each runs on its first use, so a command loads only
+# what it calls (zero-divisors never imports numpy).
+from . import braket, cdnum, reporting, states
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -53,8 +43,8 @@ def _emit(chunks, out_path):
 def _load_state(source, normalize):
     """A --state value is a file path when one exists, bra-ket text otherwise."""
     if os.path.isfile(source):
-        return read_state_file(source, normalize=normalize)
-    return parse_state(source, normalize=normalize)
+        return states.read_state_file(source, normalize=normalize)
+    return braket.parse_state(source, normalize=normalize)
 
 
 def cmd_analyze(args):
@@ -66,28 +56,28 @@ def cmd_analyze(args):
                 file=sys.stderr,
             )
             return EXIT_STATE
-        report = analyze_state(state, qubit=args.qubit)
-    except ParseError as exc:
+        report = reporting.analyze_state(state, qubit=args.qubit)
+    except braket.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except StateError as exc:
+    except states.StateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE
     except ArithmeticError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
-    return _emit([text], args.out)
+    write = reporting.report_to_csv if args.format == "csv" else reporting.report_to_json
+    return _emit([write(report)], args.out)
 
 
 def cmd_verify_paper(args):
-    rows = conformance_rows()
+    rows = reporting.conformance_rows()
     if args.format == "json":
-        text = rows_to_json(rows)
+        text = reporting.rows_to_json(rows)
     elif args.format == "csv":
-        text = rows_to_csv(rows)
+        text = reporting.rows_to_csv(rows)
     else:
-        text = rows_to_text(rows)
+        text = reporting.rows_to_text(rows)
     code = _emit([text], args.out)
     if code == EXIT_OK and args.strict and any(not r.match for r in rows):
         return EXIT_STRICT
@@ -101,7 +91,7 @@ def cmd_sample(args):
     if args.seed < 0:
         print("error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_STATE
-    return _emit(sample_rows(args.qubits, args.count, args.seed), args.out)
+    return _emit(reporting.sample_rows(args.qubits, args.count, args.seed), args.out)
 
 
 def _format_pair(pair):
@@ -113,14 +103,15 @@ def _format_pair(pair):
 
 def cmd_zero_divisors(args):
     if args.table:
-        rows = basis_product_table(MAX_LEVEL if args.level is None else args.level)
+        level = cdnum.MAX_LEVEL if args.level is None else args.level
+        rows = cdnum.basis_product_table(level)
         lines = ["a,b,sign,index"]
         lines += [f"{a},{b},{'+' if s > 0 else '-'},{k}" for a, b, s, k in rows]
         return _emit(["\n".join(lines) + "\n"], args.out)
     lines = []
-    for level in range(1, MAX_LEVEL + 1):
-        pairs = find_basis_zero_divisors(level)
-        name = LEVEL_NAMES[level]
+    for level in range(1, cdnum.MAX_LEVEL + 1):
+        pairs = cdnum.find_basis_zero_divisors(level)
+        name = cdnum.LEVEL_NAMES[level]
         if not pairs:
             lines.append(f"level {level} ({name}): none")
         else:
@@ -169,8 +160,8 @@ def build_parser():
     p.add_argument(
         "--level",
         type=int,
-        choices=range(MAX_LEVEL + 1),
-        help=f"algebra level for --table (default {MAX_LEVEL})",
+        choices=range(cdnum.MAX_LEVEL + 1),
+        help=f"algebra level for --table (default {cdnum.MAX_LEVEL})",
     )
     p.add_argument("--out", help="write to this path instead of standard output")
     p.set_defaults(func=cmd_zero_divisors)

@@ -11,8 +11,10 @@ from hopfq.cdnum import (
     CDElement,
     MAX_LEVEL,
     SingularElementError,
+    ZERO_TOL,
     _mul,
     _mul_recursive,
+    _sign_rows,
     basis,
     basis_product_table,
     cd_conj,
@@ -233,6 +235,38 @@ def test_inverse_rejects_zero():
         cd_inverse(zero(3))
     with pytest.raises(SingularElementError):
         cd_inverse(CDElement(2, np.array([1e-15, 0.0, 0.0, 0.0])))
+
+
+@pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
+def test_inverse_raises_exactly_on_is_zero(level):
+    # Largest coefficients on both sides of ZERO_TOL, alone or repeated on
+    # every unit: all of those just below have a squared norm of 1e-24 or
+    # more, which a test on the norm would have inverted.
+    m = 1 << level
+    for top in (np.nextafter(ZERO_TOL, 0), ZERO_TOL, np.nextafter(ZERO_TOL, 1)):
+        for coeffs in (np.eye(m)[-1] * top, np.full(m, top), np.full(m, -top)):
+            x = CDElement(level, coeffs)
+            try:
+                inv = cd_inverse(x)
+            except SingularElementError:
+                assert x.is_zero()
+            else:
+                assert not x.is_zero()
+                assert _dist(cd_mul(x, inv), one(level)) < 1e-10
+        assert CDElement(level, np.full(m, top)).is_zero() == (top < ZERO_TOL)
+
+
+@pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
+def test_sign_rows_match_recursive_rule(level):
+    # Every pair of basis units under the doubling rule verbatim:
+    # i_a * i_b has the single coefficient S[a][b] at a XOR b.
+    m = 1 << level
+    eye = np.eye(m)
+    for a in range(m):
+        for b in range(m):
+            prod = _mul_recursive(eye[a], eye[b])
+            assert prod[a ^ b] == _sign_rows(level)[a][b]
+            assert np.count_nonzero(prod) == 1
 
 
 def test_zero_divisor_census():

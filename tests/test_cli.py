@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from test_braket import _FUZZ_ALPHABET
 
 import hopfq.cli as cli
+import hopfq.reporting
 from hopfq.braket import ParseError, parse_state
 from hopfq.states import (
     StateError,
@@ -120,7 +121,7 @@ def test_analyze_numeric_failure_exit_3(capsys, monkeypatch):
     def boom(state, qubit=0):
         raise FloatingPointError("synthetic overflow")
 
-    monkeypatch.setattr(cli, "analyze_state", boom)
+    monkeypatch.setattr(hopfq.reporting, "analyze_state", boom)
     code, _, err = _run(capsys, "analyze", "--state", "|01>")
     assert code == 3 and "numeric" in err
 
@@ -397,6 +398,20 @@ def test_zero_divisor_table(capsys):
     assert lines[0] == "a,b,sign,index"
     assert "1,2,+,3" in lines
     assert len(lines) == 17
+
+
+@pytest.mark.parametrize("level, digest", [
+    (0, "02a6919696dcc1f3d4d9939c7c48b4e77af16924a8452cdf7f824b781c5c695c"),
+    (1, "8d75720013b24fb06585c0064ab4bede5dfe858ecbb922c070dab4579b7ae1fc"),
+    (2, "f1c2c25a4312f60988785f0581aceef378808f5efb5c1ff86d5084a0d45fb36b"),
+    (3, "1785c78b0491c2143dcdf6c4432f06f85ddeb8c2563d8dc8569ae7f9318064cc"),
+])
+def test_zero_divisor_table_output_is_pinned(capsys, level, digest):
+    # sha256 of each lower-level table as read off the recursive product of
+    # every pair of basis units; level 4 is pinned to the shipped CSV below.
+    code, out, _ = _run(capsys, "zero-divisors", "--table", "--level", str(level))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_zero_divisor_level_needs_table(capsys):
