@@ -3,11 +3,10 @@
 The accepted language is a small arithmetic expression grammar over two value
 kinds, scalars and ket vectors:
 
-    expression := ["-"] product { ("+" | "-") product }
-    product    := unary { ("*" | "/") unary | unary-juxtaposed }
-    unary      := { "-" } atom
-    atom       := number | "i" | "sqrt" "(" expression ")" | "(" expression ")"
-                | "|" bits ">"
+    expression := product { ("+" | "-") product }
+    product    := operand { ("*" | "/") operand | operand-juxtaposed }
+    operand    := { "+" | "-" } ( number | "i" | "|" bits ">" | "(" expression ")"
+                | "sqrt" "(" expression ")" | "√" ( "(" expression ")" | operand ) )
 
 Juxtaposition multiplies when the right operand starts with a ket, an
 identifier, "(" or the radical sign, so "0.5|01>", "2i" and "1/2*(|10>+|01>)"
@@ -45,8 +44,8 @@ _TOKEN = re.compile(
     r")|\|[01]*[>⟩]?|[^ \t\r\n])"
 )
 
-# First characters of the tokens that may start an atom and bind to the
-# previous atom by juxtaposition: kets, names, "(" and the radical.  Numbers
+# First characters of the tokens that may start an operand and bind to the
+# previous operand by juxtaposition: kets, names, "(" and the radical.  Numbers
 # are deliberately absent: "2 3" is an error.
 _IMPLICIT = frozenset("|(√_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
@@ -96,16 +95,6 @@ def _tokenize(text):
     raise ParseError(message, line, col)
 
 
-# A value is a Python complex (a scalar) or a complex128 array of length
-# 2**bits (a ket sum); a ket has at least one bit, so no array has length 1.
-def _finite(z):
-    # Python complex arithmetic overflows to inf (or nan) silently; raise as
-    # numpy does for ket arithmetic inside _Parser.parse.
-    if not cmath.isfinite(z):
-        raise FloatingPointError("scalar out of floating-point range")
-    return z
-
-
 def _ket_rows():
     # Every ket token, ">" and U+27E9 spellings alike, to its read-only row of
     # the identity matrix of its width.  The evaluator never writes into a
@@ -120,9 +109,11 @@ def _ket_rows():
     return kets
 
 
-_KETS = _ket_rows()
+_CONSTANTS = {**_ket_rows(), "i": 1j}
 
 
+# A value is a Python complex (a scalar) or a complex128 array of length
+# 2**bits (a ket sum); a ket has at least one bit, so no array has length 1.
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -142,9 +133,8 @@ class _Parser:
         self.pos += 1
 
     def parse(self):
-        # Ket arithmetic that leaves the float range raises FloatingPointError
-        # (scalar arithmetic raises it through _finite), which the operator
-        # loops turn into a ParseError at the operator.
+        # Ket arithmetic that leaves the float range raises FloatingPointError,
+        # which apply turns into a ParseError at the operator.
         with np.errstate(over="raise", invalid="raise"):
             value = self.expression()
         tok = self.tokens[self.pos]
@@ -157,15 +147,11 @@ class _Parser:
         while self.tokens[self.pos] in ("+", "-"):
             at = self.pos
             self.pos += 1
-            rhs = self.product()
-            try:
-                value = self._add(value, rhs, at)
-            except FloatingPointError:
-                raise self.error("value out of floating-point range", at) from None
+            value = self.apply(value, self.product(), at)
         return value
 
     def product(self):
-        value = self.unary()
+        value = self.operand()
         while True:
             at = self.pos
             tok = self.tokens[at]
@@ -173,104 +159,86 @@ class _Parser:
                 self.pos += 1
             elif tok[:1] not in _IMPLICIT:
                 return value
-            rhs = self.unary()
-            try:
-                value = self._combine(value, rhs, at)
-            except FloatingPointError:
-                raise self.error("value out of floating-point range", at) from None
+            value = self.apply(value, self.operand(), at)
 
-    def unary(self):
+    def operand(self):
+        at, tok = self.pos, self.tokens[self.pos]
         flip = False
-        tok = self.tokens[self.pos]
         while tok in ("-", "+"):
             flip ^= tok == "-"
-            self.pos += 1
-            tok = self.tokens[self.pos]
+            at += 1
+            tok = self.tokens[at]
         # Every nesting level, whether (...), sqrt(...) or a radical, passes
         # through here once.
         if self.depth == MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.pos)
-        # Kets, numbers and "i" are read here; atom reads the rest.
-        value = _KETS.get(tok)
-        if value is not None:
-            self.pos += 1
-        elif tok == "i":
-            self.pos += 1
-            value = 1j
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", at)
+        self.pos = at + 1
+        value = _CONSTANTS.get(tok)
+        if value is not None:  # a ket or i
+            pass
         elif tok[:1].isdecimal():
-            value = float(tok)
+            value = complex(tok)
             if not cmath.isfinite(value):
-                raise self.error(f"number {tok} is out of range", self.pos)
-            self.pos += 1
-            value = complex(value)
-        else:
+                raise self.error(f"number {tok} is out of range", at)
+        elif tok in ("(", "sqrt", "√"):
             self.depth += 1
-            value = self.atom()
+            if tok == "√" and self.tokens[self.pos] != "(":
+                value = self.operand()
+            else:
+                if tok != "(":
+                    self.expect("(", "'(' after sqrt")
+                value = self.expression()
+                self.expect(")", "')'")
             self.depth -= 1
+            if tok != "(":
+                if isinstance(value, np.ndarray):
+                    raise self.error("sqrt of a ket expression", at)
+                if value.imag != 0.0 or value.real < 0.0:
+                    raise self.error("sqrt argument must be a nonnegative real", at)
+                value = complex(np.sqrt(value.real))
+        elif not tok:
+            raise self.error("unexpected end of input", at)
+        elif tok[0] in _IMPLICIT:  # a name: kets, i, "(" and "√" are handled above
+            raise self.error(f"unknown name {tok!r}", at)
+        else:
+            raise self.error(f"unexpected {tok!r}", at)
         return -value if flip else value
 
-    def atom(self):
-        at, tok = self.pos, self.tokens[self.pos]
-        self.pos += 1
-        if tok == "(":
-            value = self.expression()
-            self.expect(")", "')'")
-            return value
-        if tok == "sqrt":
-            self.expect("(", "'(' after sqrt")
-            inner = self.expression()
-            self.expect(")", "')'")
-            return self._sqrt(inner, at)
-        if tok == "√":
-            if self.tokens[self.pos] == "(":
-                self.pos += 1
-                inner = self.expression()
-                self.expect(")", "')'")
-            else:
-                inner = self.unary()
-            return self._sqrt(inner, at)
-        if not tok:
-            raise self.error("unexpected end of input", at)
-        if tok[0] in _IMPLICIT:  # a name: kets, "(" and "√" are handled above
-            raise self.error(f"unknown name {tok!r}", at)
-        raise self.error(f"unexpected {tok!r}", at)
-
-    def _sqrt(self, z, at):
-        if isinstance(z, np.ndarray):
-            raise self.error("sqrt of a ket expression", at)
-        if z.imag != 0.0 or z.real < 0.0:
-            raise self.error("sqrt argument must be a nonnegative real", at)
-        return complex(np.sqrt(z.real))
-
-    def _add(self, lhs, rhs, at):
-        ket = isinstance(lhs, np.ndarray)
-        if ket != isinstance(rhs, np.ndarray):
-            raise self.error("cannot add a scalar and a ket expression", at)
-        if ket and len(lhs) != len(rhs):
-            raise self.error(
-                f"mixed ket lengths ({len(lhs).bit_length() - 1} and "
-                f"{len(rhs).bit_length() - 1} bits)",
-                at,
-            )
-        total = lhs - rhs if self.tokens[at] == "-" else lhs + rhs
-        return total if ket else _finite(total)
-
-    def _combine(self, lhs, rhs, at):
+    def apply(self, lhs, rhs, at):
+        """lhs op rhs for the operator token at `at`; any other token there
+        starts a juxtaposed factor and multiplies."""
         # Scalars stay Python complex and multiply a ket from the left: numpy's
         # complex loops may round differently from Python's, so operand types
         # and order fix the bits of every result.
+        op = self.tokens[at]
         lket, rket = isinstance(lhs, np.ndarray), isinstance(rhs, np.ndarray)
-        if self.tokens[at] == "/":
-            if rket:
-                raise self.error("cannot divide by a ket expression", at)
-            if rhs == 0:
-                raise self.error("division by zero", at)
-            return lhs / rhs if lket else _finite(lhs / rhs)
-        if lket and rket:
-            raise self.error("cannot multiply two ket expressions", at)
-        if lket:
-            return rhs * lhs
-        return lhs * rhs if rket else _finite(lhs * rhs)
+        try:
+            if op in ("+", "-"):
+                if lket != rket:
+                    raise self.error("cannot add a scalar and a ket expression", at)
+                if lket and len(lhs) != len(rhs):
+                    raise self.error(
+                        f"mixed ket lengths ({len(lhs).bit_length() - 1} and "
+                        f"{len(rhs).bit_length() - 1} bits)",
+                        at,
+                    )
+                value = lhs + rhs if op == "+" else lhs - rhs
+            elif op == "/":
+                if rket:
+                    raise self.error("cannot divide by a ket expression", at)
+                if rhs == 0:
+                    raise self.error("division by zero", at)
+                value = lhs / rhs
+            elif lket and rket:
+                raise self.error("cannot multiply two ket expressions", at)
+            else:
+                value = rhs * lhs if lket else lhs * rhs
+            # Python complex arithmetic overflows to inf (or nan) silently.
+            if not (lket or rket or cmath.isfinite(value)):
+                raise FloatingPointError
+        except FloatingPointError:
+            raise self.error("value out of floating-point range", at) from None
+        return value
 
 
 def parse_amplitudes(text):
@@ -280,7 +248,7 @@ def parse_amplitudes(text):
     amps = _Parser(text).parse()
     if not isinstance(amps, np.ndarray):
         raise ParseError("expression contains no ket terms", 1, 1)
-    if not amps.flags.writeable:  # one bare ket: a shared row of _KETS
+    if not amps.flags.writeable:  # one bare ket: a shared row of _CONSTANTS
         amps = amps.copy()
     return len(amps).bit_length() - 1, amps
 

@@ -40,6 +40,11 @@ class SingularElementError(ArithmeticError):
     """Raised when inverting an element of zero norm."""
 
 
+def _raising():
+    # A result past the float range raises FloatingPointError, not a warning.
+    return np.errstate(over="raise", invalid="raise")
+
+
 class CDElement:
     """An element of the level-``level`` Cayley-Dickson algebra.
 
@@ -79,13 +84,13 @@ class CDElement:
         if not isinstance(other, CDElement):
             return NotImplemented
         _check_levels(self, other)
-        return CDElement(self.level, self.coeffs + other.coeffs)
+        with _raising():
+            return CDElement(self.level, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, CDElement):
             return NotImplemented
-        _check_levels(self, other)
-        return CDElement(self.level, self.coeffs - other.coeffs)
+        return self + -other
 
     def __neg__(self):
         return CDElement(self.level, -self.coeffs)
@@ -99,7 +104,8 @@ class CDElement:
         # Real scalars, numpy's included, but not True or False.
         if not isinstance(other, numbers.Real) or isinstance(other, bool):
             return NotImplemented
-        return CDElement(self.level, self.coeffs * float(other))
+        with _raising():
+            return CDElement(self.level, self.coeffs * float(other))
 
     def is_zero(self):
         return bool(np.max(np.abs(self.coeffs)) < ZERO_TOL)
@@ -231,7 +237,8 @@ def _mul(x, y):
 def cd_mul(x, y):
     """Product of two same-level elements under the fixed doubling convention."""
     _check_levels(x, y)
-    return CDElement(x.level, _mul(x.coeffs, y.coeffs))
+    with _raising():
+        return CDElement(x.level, _mul(x.coeffs, y.coeffs))
 
 
 def cd_conj(x):
@@ -241,7 +248,8 @@ def cd_conj(x):
 
 def cd_norm_sq(x):
     """Squared Euclidean norm, sum of squared coefficients."""
-    return float(np.dot(x.coeffs, x.coeffs))
+    with _raising():
+        return float(np.dot(x.coeffs, x.coeffs))
 
 
 def cd_inverse(x):
@@ -252,7 +260,11 @@ def cd_inverse(x):
     """
     if x.is_zero():
         raise SingularElementError("cannot invert an element of zero norm")
-    return CDElement(x.level, _conj_coeffs(x.coeffs) / cd_norm_sq(x))
+    # Scaled by the power of two of the largest coefficient, as make_state
+    # does: exact, so <y, y> cannot overflow and in-range inverses keep every bit.
+    exp = np.frexp(np.max(np.abs(x.coeffs)))[1]
+    y = np.ldexp(x.coeffs, -exp)
+    return CDElement(x.level, np.ldexp(_conj_coeffs(y) / np.dot(y, y), -exp))
 
 
 def basis_product_table(level):

@@ -22,7 +22,7 @@ from .fibration import (
     _e_values,
     base_coordinates,
 )
-from .states import _FRONT, QubitState, _random_amplitudes, bring_to_front
+from .states import _FRONT, QubitState, _check_natural, _random_amplitudes, bring_to_front
 from .tangles import (
     _classify_three,
     _separable_rows,
@@ -303,6 +303,7 @@ _SAMPLE_CHUNK = 256
 def sample_rows(n, count, seed):
     """The text of sample_table as a stream: the header line, then the rows
     of each chunk of states as one string."""
+    _check_natural("count", count)
     yield "index,e_complement,e_sum,norm_defect,tau_a" + (",ball_radius" if n == 4 else "") + "\n"
     for start in range(0, count, _SAMPLE_CHUNK):
         indices = range(start, min(start + _SAMPLE_CHUNK, count))
@@ -329,6 +330,4 @@ def sample_table(n, count, seed):
 
 def analyze_state(state, qubit=0):
     """Bring `qubit` into the leading role and build the analysis report."""
-    if qubit:
-        state = bring_to_front(state, qubit)
-    return analysis_report(state)
+    return analysis_report(bring_to_front(state, qubit))

@@ -40,14 +40,28 @@ class NormalizationError(StateError):
     """State is not normalized and no rescale was requested."""
 
 
+def _is_int(value):
+    # numpy reads a bool index as a mask, and int() truncates a float.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_qubit_count(n):
+    if not (_is_int(n) and 1 <= n <= MAX_QUBITS):
+        raise ShapeError(f"qubit count must be an integer in 1..{MAX_QUBITS}, got {n!r}")
+
+
+def _check_natural(name, value):
+    if not (_is_int(value) and value >= 0):
+        raise StateError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 class QubitState:
     """Validated pure state: qubit count n and 2**n complex amplitudes."""
 
     __slots__ = ("n", "amps")
 
     def __init__(self, n, amps, _norm_tol=NORM_TOL_INPUT):
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= MAX_QUBITS:
-            raise ShapeError(f"qubit count must be an integer in 1..{MAX_QUBITS}, got {n!r}")
+        _check_qubit_count(n)
         arr = np.asarray(amps, dtype=np.complex128).copy()
         if arr.shape != (1 << n,):
             raise ShapeError(f"{n} qubits need {1 << n} amplitudes, got shape {arr.shape}")
@@ -195,7 +209,7 @@ def decode_pair(enc):
 def permute_qubits(state, perm):
     """Reindex amplitudes so original qubit perm[j] occupies position j."""
     n = state.n
-    if sorted(perm) != list(range(n)):
+    if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
     t = state.amps.reshape((2,) * n)
     return QubitState._reindexed(n, np.transpose(t, axes=perm).reshape(-1))
@@ -210,8 +224,8 @@ _FRONT = {
 
 def bring_to_front(state, qubit):
     """Permutation helper: move one qubit into role 0, others keep their order."""
-    if not 0 <= qubit < state.n:
-        raise ValueError(f"qubit index {qubit} out of range for n={state.n}")
+    if not (_is_int(qubit) and 0 <= qubit < state.n):
+        raise ValueError(f"qubit index {qubit!r} out of range for n={state.n}")
     return QubitState._reindexed(state.n, state.amps[_FRONT[state.n][qubit]])
 
 
@@ -247,8 +261,6 @@ def _mix(x, y):
 
 def _words(value):
     # The little-endian 32-bit words of a nonnegative integer; 0 is one word.
-    if value < 0:
-        raise ValueError("expected non-negative integer")
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)
@@ -276,6 +288,7 @@ def _philox_keys(seed, indices):
     at once, as (4, N) uint64 arrays of 32-bit words.  A row whose index has
     fewer words than the widest one keeps its pool once its own words run out.
     """
+    _check_natural("seed", seed)
     seed = int(seed)
     index = [int(i) for i in indices]
     if min(index, default=0) < 0:
@@ -306,6 +319,7 @@ def _random_amplitudes(n, seed, indices):
     starts in.  The generator is local to the call, so concurrent calls share
     no state.
     """
+    _check_qubit_count(n)
     m = 1 << n
     keys = _philox_keys(seed, indices)
     z = np.empty((len(keys), 2, m))
@@ -339,11 +353,15 @@ def random_state(n, seed, index=0):
     The generator is counter-based and keyed by (seed, index), so drawing
     sample ``index`` never depends on how many other samples were drawn.
     """
+    _check_natural("index", index)
     return QubitState(n, _random_amplitudes(n, seed, [index])[0], _norm_tol=None)
 
 
 def basis_state(n, bits):
-    """Computational basis state |bits>."""
+    """Computational basis state |bits>, bits a string of n characters 0 or 1."""
+    _check_qubit_count(n)
+    if not (isinstance(bits, str) and len(bits) == n and set(bits) <= {"0", "1"}):
+        raise ShapeError(f"{n} qubits need a string of {n} bits, got {bits!r}")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[int(bits, 2)] = 1.0
     return QubitState(n, amps, _norm_tol=None)
@@ -354,6 +372,7 @@ def bell_state():
 
 
 def ghz_state(n):
+    _check_qubit_count(n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = amps[-1] = 1 / np.sqrt(2)
     return QubitState(n, amps, _norm_tol=None)
@@ -361,6 +380,7 @@ def ghz_state(n):
 
 def w_state(n):
     """Single-excitation symmetric state (|10..0> + |01..0> + ... )/sqrt(n)."""
+    _check_qubit_count(n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     for q in range(n):
         amps[1 << q] = 1 / np.sqrt(n)

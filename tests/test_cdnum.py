@@ -238,6 +238,41 @@ def test_inverse_rejects_zero():
 
 
 @pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
+def test_inverse_of_elements_whose_norm_overflows(level):
+    # The squared norm of 1e200 overflows; cd_inverse once returned the zero
+    # element for it, so that x * x^-1 was 0, not 1.
+    m = 1 << level
+    rng = np.random.default_rng(level)
+    for top in (1e155, 1e200, 1e300, np.finfo(float).max):
+        for coeffs in (np.eye(m)[0] * top, np.full(m, -top), rng.uniform(-1, 1, m) * top):
+            x = CDElement(level, coeffs)
+            inv = cd_inverse(x)
+            assert inv.coeffs.any()
+            # x * x^-1 itself overflows no intermediate: its terms are about 1.
+            assert _dist(cd_mul(x, inv), one(level)) < 1e-14
+    assert cd_inverse(CDElement(level, np.eye(m)[0] * 1e200)).coeffs[0] == 1 / 1e200
+
+
+@pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
+def test_overflow_raises_floating_point_error(level):
+    # Each once leaked numpy's RuntimeWarning and went on with inf.
+    m = 1 << level
+    big = CDElement(level, np.full(m, 1e308))
+    ops = [
+        lambda: cd_norm_sq(big),
+        lambda: cd_mul(big, big),
+        lambda: big + big,
+        lambda: big - (-big),
+        lambda: big * 2.0,
+        lambda: 2.0 * big,
+    ]
+    for op in ops:
+        with pytest.raises(FloatingPointError):
+            op()
+    assert cd_norm_sq(CDElement(level, np.full(m, 2.0**500))) == m * 2.0**1000
+
+
+@pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
 def test_inverse_raises_exactly_on_is_zero(level):
     # Largest coefficients on both sides of ZERO_TOL, alone or repeated on
     # every unit: all of those just below have a squared norm of 1e-24 or

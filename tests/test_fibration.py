@@ -26,8 +26,9 @@ from hopfq.fibration import (
     hopf_quotient,
     is_mes,
 )
-from hopfq.reporting import PUBLISHED_STATES
+from hopfq.reporting import PUBLISHED_STATES, analysis_report
 from hopfq.states import (
+    _FRONT,
     _encode_pairs,
     basis_state,
     bell_state,
@@ -232,6 +233,38 @@ def test_e_of_published_states_is_exact_to_rounding(label):
     bc = base_coordinates(parse_state(text, normalize=True))
     assert abs(bc.e_complement - exact[0]) <= 1e-15
     assert abs(bc.e_sum - exact[1]) <= 1e-15
+
+
+def _exact_taus(n, parts):
+    """Every one-vs-rest tau of g/|g| in Fractions, from integer Gram sums,
+    for the Gaussian integers g with interleaved (re, im) parts."""
+    norm = sum(p * p for p in parts)
+    amps = list(zip(parts[0::2], parts[1::2]))
+    taus = []
+    for front in _FRONT[n].tolist():
+        a, b = [amps[k] for k in front[: 1 << (n - 1)]], [amps[k] for k in front[1 << (n - 1) :]]
+        aa = sum(x * x + y * y for x, y in a)
+        bb = sum(x * x + y * y for x, y in b)
+        ab_re = sum(x1 * x2 + y1 * y2 for (x1, y1), (x2, y2) in zip(a, b))
+        ab_im = sum(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in zip(a, b))
+        taus.append(Fraction(4 * (aa * bb - ab_re**2 - ab_im**2), norm**2))
+    return taus
+
+
+@settings(deadline=None)
+@given(n=st.integers(2, 4), data=st.data())
+def test_report_is_exact_to_rounding_on_gaussian_integer_states(n, data):
+    # Every exact value has a denominator of at most |g|^4 <= 1568**2, so it
+    # is 0, 1, or at least about 4e-7 from both: the 1e-9 boundary snap can
+    # only move a value onto its exact 0 or 1.
+    parts = data.draw(st.lists(st.integers(-7, 7), min_size=2 << n, max_size=2 << n).filter(any))
+    g = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    report = analysis_report(make_state(n, g, normalize=True))
+    e_complement, e_sum = _exact_e(g)
+    assert abs(report["e_complement"] - e_complement) <= 4e-15
+    assert abs(report["e_sum"] - e_sum) <= 4e-15
+    for tau, exact in zip(report["tau_one_rest"], _exact_taus(n, parts), strict=True):
+        assert abs(tau - exact) <= 4e-15
 
 
 def test_e_sum_is_not_a_local_unitary_invariant_at_four_qubits():

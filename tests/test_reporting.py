@@ -3,6 +3,7 @@ import json
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_fibration import _draw_unit_state
@@ -29,6 +30,8 @@ from hopfq.reporting import (
 )
 from hopfq.states import (
     QubitState,
+    ShapeError,
+    StateError,
     bell_state,
     bring_to_front,
     ghz_state,
@@ -108,6 +111,11 @@ def test_analyze_state_permutes():
         direct = analyze_state(s, qubit=q)
         moved = analysis_report(bring_to_front(s, q))
         assert direct == moved
+    assert analyze_state(s, np.int64(2)) == analyze_state(s, 2)
+    # False and 0.0 once skipped the index check; True raised an IndexError
+    for q in (True, False, np.True_, 0.0, 1.0, -1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            analyze_state(s, q)
 
 
 def test_conformance_row_match_rule():
@@ -223,6 +231,17 @@ def test_sample_table_columns():
     assert text.strip().splitlines()[0] == (
         "index,e_complement,e_sum,norm_defect,tau_a,ball_radius"
     )
+
+
+def test_sample_table_takes_int_arguments_only():
+    # n = 5 and n = 0 once raised KeyError, and n = True ran as n = 1
+    for n in (5, 0, True, 4.0):
+        with pytest.raises(ShapeError):
+            sample_table(n, 2, 1)
+    for count, seed in ((2.0, 1), (-1, 1), (2, True), (2, 1.5), (2, -1)):
+        with pytest.raises(StateError, match="nonnegative integer"):
+            sample_table(2, count, seed)
+    assert sample_table(2, np.int64(3), np.uint16(1)) == sample_table(2, 3, 1)
 
 
 def test_sample_table_column_identities():

@@ -153,10 +153,20 @@ def test_bring_to_front():
     same = bring_to_front(s, 0)
     assert np.array_equal(same.amps, s.amps)
     assert repr(front) == "QubitState(n=3)"
-    # -1 must not wrap around to the last qubit, and n must not reach numpy
-    for q in (-1, 3):
+    # -1 must not wrap around to the last qubit, and n must not reach numpy;
+    # numpy would read True as a mask and reject 1.0 with an IndexError
+    for q in (-1, 3, True, np.True_, 1.0):
         with pytest.raises(ValueError, match="out of range"):
             bring_to_front(s, q)
+    assert np.array_equal(bring_to_front(s, np.int64(1)).amps, front.amps)
+
+
+def test_permutation_entries_must_be_ints():
+    s = bell_state()
+    for perm in ([True, False], [1.0, 0.0], np.array([True, False])):
+        with pytest.raises(ValueError, match="permutation"):
+            permute_qubits(s, perm)
+    assert np.array_equal(permute_qubits(s, np.array([1, 0])).amps, s.amps)
 
 
 def test_random_state_deterministic():
@@ -255,6 +265,30 @@ def test_negative_seed_or_index_is_rejected():
         random_state(2, -3)
     with pytest.raises(ValueError):
         random_state(2, 3, index=-1)
+
+
+def test_seeds_indices_and_qubit_counts_are_ints():
+    # int() would read True as seed 1 and truncate 1.9 and 2.7
+    for args in ((4, True), (4, 1.9), (4, 3, 2.7), (4, 3, np.True_), (4, 3.0)):
+        with pytest.raises(StateError, match="nonnegative integer"):
+            random_state(*args)
+    # 2.0 and -1 once failed in a shift, with TypeError or a bare ValueError
+    for n in (0, 5, -1, True, 2.0):
+        for make in (lambda n: random_state(n, 1), ghz_state, w_state):
+            with pytest.raises(ShapeError):
+                make(n)
+    same = random_state(np.int64(2), np.uint8(3), np.int32(4))
+    assert same.amps.tobytes() == random_state(2, 3, 4).amps.tobytes()
+    assert np.array_equal(ghz_state(np.int8(3)).amps, ghz_state(3).amps)
+
+
+def test_basis_state_needs_n_bits():
+    # int(bits, 2) would read "0" as |00> and "0b1" or " 1" as a number
+    for bits in ("0", "111", "0b", " 1", "12", "", 1, b"01"):
+        with pytest.raises(ShapeError, match="string of 2 bits"):
+            basis_state(2, bits)
+    with pytest.raises(ShapeError):
+        basis_state(True, "1")
 
 
 def test_a_batch_builds_one_generator_not_one_per_row(monkeypatch):

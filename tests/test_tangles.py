@@ -83,9 +83,12 @@ def test_partial_trace_index_check():
     with pytest.raises(ValueError):
         partial_trace_to_single(bell_state(), 2)
     # -1 must not wrap around to the last qubit, and n must not reach numpy
-    for q in (-1, 3):
-        with pytest.raises(ValueError, match="out of range"):
-            separable_one_rest(ghz_state(3), q)
+    # True once gathered a (1, 2, 4) array: tau 0.0, separable, rho all ones
+    for q in (-1, 3, True, np.True_, 1.0):
+        for oracle in (tau_one_rest, separable_one_rest, partial_trace_to_single):
+            with pytest.raises(ValueError, match="out of range"):
+                oracle(ghz_state(3), q)
+    assert abs(tau_one_rest(bell_state(), np.int64(1)) - 1.0) < 1e-15
 
 
 def test_concurrence_examples():
