@@ -40,6 +40,16 @@ class SingularElementError(ArithmeticError):
     """Raised when inverting an element of zero norm."""
 
 
+def _is_int(value):
+    # numpy reads a bool index as a mask, and int() truncates a float.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_level(level):
+    if not (_is_int(level) and 0 <= level <= MAX_LEVEL):
+        raise ValueError(f"level must be an integer in 0..{MAX_LEVEL}, got {level!r}")
+
+
 def _raising():
     # A result past the float range raises FloatingPointError, not a warning.
     return np.errstate(over="raise", invalid="raise")
@@ -55,8 +65,7 @@ class CDElement:
     __slots__ = ("level", "coeffs")
 
     def __init__(self, level, coeffs):
-        if not 0 <= level <= MAX_LEVEL:
-            raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {level}")
+        _check_level(level)
         arr = np.asarray(coeffs, dtype=np.float64).copy()
         if arr.shape != (1 << level,):
             raise ValueError(
@@ -121,8 +130,9 @@ def one(level):
 
 def basis(level, k):
     """The basis unit i_k at the given level."""
-    if not 0 <= k < (1 << level):
-        raise ValueError(f"basis index {k} out of range for level {level}")
+    _check_level(level)
+    if not (_is_int(k) and 0 <= k < (1 << level)):
+        raise ValueError(f"basis index must be an integer in 0..{(1 << level) - 1}, got {k!r}")
     c = np.zeros(1 << level)
     c[k] = 1.0
     return CDElement(level, c)

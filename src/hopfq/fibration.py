@@ -28,7 +28,6 @@ from .cdnum import (
     _sign_table,
     cd_conj,
     cd_mul,
-    cd_norm_sq,
     from_complex_pairs,
 )
 from .states import _encode_pairs
@@ -124,7 +123,7 @@ def _quotient_blocks_2(amps):
     a = amps
     num0 = np.conjugate(a[0]) * a[2] + np.conjugate(a[1]) * a[3]
     num1 = a[0] * a[3] - a[1] * a[2]
-    return (num0, num1), float(abs(a[2]) ** 2 + abs(a[3]) ** 2)
+    return [(z.real, z.imag) for z in (num0, num1)]
 
 
 def _quotient_blocks_3(amps):
@@ -134,8 +133,7 @@ def _quotient_blocks_3(amps):
     k2 = a[1] * a[4] - a[0] * a[5] + c(a[6] * a[3] - a[7] * a[2])
     k3 = a[2] * a[4] - a[6] * a[0] + c(a[7] * a[1] - a[3] * a[5])
     k4 = a[6] * a[1] - a[2] * a[5] + c(a[7] * a[0] - a[3] * a[4])
-    den = float(sum(abs(a[j]) ** 2 for j in (4, 5, 6, 7)))
-    return (k1, k2, k3, k4), den
+    return [(z.real, z.imag) for z in (k1, k2, k3, k4)]
 
 
 def _quotient_blocks_4(amps):
@@ -146,48 +144,42 @@ def _quotient_blocks_4(amps):
     b2 = cd_mul(q2, q5) - cd_mul(q6, q1) + cj(cd_mul(q4, q7) - cd_mul(q8, q3))
     b3 = cd_mul(q3, q5) - cd_mul(q7, q1) + cj(cd_mul(q3, q8) - cd_mul(q6, q4))
     b4 = cd_mul(q2, q7) - cd_mul(q6, q3) + cj(cd_mul(q8, q1) - cd_mul(q4, q5))
-    den = float(sum(cd_norm_sq(x) for x in (q5, q6, q7, q8)))
-    return (b1, b2, b3, b4), den
+    return [b.coeffs for b in (b1, b2, b3, b4)]
+
+
+_QUOTIENT_BLOCKS = {2: _quotient_blocks_2, 3: _quotient_blocks_3, 4: _quotient_blocks_4}
 
 
 def hopf_quotient(state):
     """The explicit closed-form quotient pieces (numerator element, denominator).
 
     The numerator is assembled literally from the published block constants:
-    n=2 packs the two complex blocks into a quaternion; n=3 multiplies four
-    complex blocks onto the units 1, i2, i4, i6; n=4 multiplies four
-    quaternion blocks onto 1, i4, i8, i12.  The denominator is the squared
-    norm of the second pair element (the squared form keeps it consistent
-    with the quadratic base coordinates).  A zero denominator marks the point
-    at infinity and is returned as-is, never raised.
+    n=2 puts two complex blocks on the units 1, i2; n=3 four complex blocks
+    on 1, i2, i4, i6; n=4 four quaternion blocks on 1, i4, i8, i12.  The
+    denominator is the squared norm of the second half of the amplitudes, the
+    second pair element (the squared form keeps it consistent with the
+    quadratic base coordinates).  A zero denominator marks the point at
+    infinity and is returned as-is, never raised.
     """
-    n = state.n
-    a = state.amps
-    if n == 2:
-        (num0, num1), den = _quotient_blocks_2(a)
-        return from_complex_pairs(2, [num0, num1]), den
-    if n == 3:
-        blocks, den = _quotient_blocks_3(a)
-        coeffs = [[z.real, z.imag] for z in blocks]
-        return _on_units(3, coeffs, (0, 2, 4, 6)), den
-    if n == 4:
-        blocks, den = _quotient_blocks_4(a)
-        return _on_units(4, [b.coeffs for b in blocks], (0, 4, 8, 12)), den
-    raise ValueError("quotient is defined for 2..4 qubits")
+    n, a = state.n, state.amps
+    if n not in _QUOTIENT_BLOCKS:
+        raise ValueError("quotient is defined for 2..4 qubits")
+    den = float(sum(abs(z) ** 2 for z in a[1 << (n - 1) :]))
+    return _on_units(n, _QUOTIENT_BLOCKS[n](a)), den
 
 
-def _on_units(level, blocks, units):
-    """The element sum_k x_k * i_units[k], where block k holds the leading
-    coefficients of x_k.
+def _on_units(level, blocks):
+    """The element sum_k x_k * i_(k*step), step = 2**level // len(blocks),
+    where block k holds the leading coefficients of x_k.
 
     Right multiplication by a basis unit i_b is a signed permutation:
     i_a * i_b = S[a, b] * i_(a XOR b), so coefficient a of x_k lands at
-    a XOR b with the sign in column b of the sign table.  The units given
-    keep the blocks' slots apart.
+    a XOR b with the sign in column b of the sign table.  No block is longer
+    than the step, so the blocks' slots stay apart.
     """
     signs = _sign_table(level)
     out = np.zeros(1 << level)
-    for block, b in zip(blocks, units):
+    for block, b in zip(blocks, range(0, 1 << level, (1 << level) // len(blocks))):
         a = np.arange(len(block))
         out[a ^ b] = signs[a, b] * np.asarray(block, dtype=np.float64)
     return CDElement(level, out)

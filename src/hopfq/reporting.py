@@ -22,7 +22,8 @@ from .fibration import (
     _e_values,
     base_coordinates,
 )
-from .states import _FRONT, QubitState, _check_natural, _random_amplitudes, bring_to_front
+from .states import (_FRONT, QubitState, _check_natural, _check_qubit_count,
+                     _random_amplitudes, bring_to_front)
 from .tangles import (
     _classify_three,
     _separable_rows,
@@ -234,7 +235,7 @@ def conformance_rows():
     # (squared norm 2*sqrt(10) ~= 6.325), so it is evaluated twice: exactly
     # as printed, and rescaled to unit norm.
     _, raw = parse_amplitudes(PUBLISHED_STATES[4][1])
-    states.insert(4, QubitState(4, raw / np.sqrt(2.0 * np.sqrt(10.0)), _norm_tol=None))
+    states.insert(4, QubitState._trusted(4, raw / np.sqrt(2.0 * np.sqrt(10.0))))
     rows = []
     for state, (label, paper_value, note) in zip(states, _CLAIMS):
         r = analysis_report(state)
@@ -302,8 +303,10 @@ _SAMPLE_CHUNK = 256
 
 def sample_rows(n, count, seed):
     """The text of sample_table as a stream: the header line, then the rows
-    of each chunk of states as one string."""
+    of each chunk of states as one string; the arguments are checked first."""
+    _check_qubit_count(n)
     _check_natural("count", count)
+    _check_natural("seed", seed)
     yield "index,e_complement,e_sum,norm_defect,tau_a" + (",ball_radius" if n == 4 else "") + "\n"
     for start in range(0, count, _SAMPLE_CHUNK):
         indices = range(start, min(start + _SAMPLE_CHUNK, count))

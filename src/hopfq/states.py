@@ -10,15 +10,13 @@ results for every qubit count.
 """
 
 import json
-import numbers
 
 import numpy as np
 
-from .cdnum import CDElement
+from .cdnum import CDElement, _is_int
 
 MAX_QUBITS = 4
 
-NORM_TOL_STRICT = 1e-9
 NORM_TOL_INPUT = 1e-6
 # A squared norm below this is the zero vector, whatever the norm window.
 DEGENERATE_NORM_SQ = 1e-24
@@ -40,11 +38,6 @@ class NormalizationError(StateError):
     """State is not normalized and no rescale was requested."""
 
 
-def _is_int(value):
-    # numpy reads a bool index as a mask, and int() truncates a float.
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _check_qubit_count(n):
     if not (_is_int(n) and 1 <= n <= MAX_QUBITS):
         raise ShapeError(f"qubit count must be an integer in 1..{MAX_QUBITS}, got {n!r}")
@@ -56,42 +49,39 @@ def _check_natural(name, value):
 
 
 class QubitState:
-    """Validated pure state: qubit count n and 2**n complex amplitudes."""
+    """Pure state: qubit count n and 2**n complex amplitudes of unit norm.
+    The constructor checks and copies an outside vector; ``_trusted`` wraps
+    one the library computed, without a copy or a check."""
 
     __slots__ = ("n", "amps")
 
-    def __init__(self, n, amps, _norm_tol=NORM_TOL_INPUT):
-        _check_qubit_count(n)
-        arr = np.asarray(amps, dtype=np.complex128).copy()
-        if arr.shape != (1 << n,):
-            raise ShapeError(f"{n} qubits need {1 << n} amplitudes, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise StateError("amplitudes must be finite")
-        if _norm_tol is not None:
-            # Past the float range the squared norm is inf, which fails the check.
-            with np.errstate(over="ignore"):
-                total = float((np.abs(arr) ** 2).sum())
-            if total < DEGENERATE_NORM_SQ:
-                raise DegenerateStateError("amplitude vector is numerically zero")
-            if abs(total - 1.0) >= _norm_tol:
-                raise NormalizationError(
-                    f"squared norm is {total!r}, not 1; pass normalize=True to rescale"
-                )
-        arr.setflags(write=False)
+    def __init__(self, n, amps):
+        arr = _amplitude_vector(n, amps)
+        # Past the float range the squared norm is inf, which fails the window.
+        with np.errstate(over="ignore"):
+            total = float((np.abs(arr) ** 2).sum())
+        if total < DEGENERATE_NORM_SQ:
+            raise DegenerateStateError("amplitude vector is numerically zero")
+        if abs(total - 1.0) >= NORM_TOL_INPUT:
+            raise NormalizationError(
+                f"squared norm is {total!r}, not 1; pass normalize=True to rescale"
+            )
+        self._hold(n, arr)
+
+    def _hold(self, n, amps):
+        amps.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "amps", arr)
+        object.__setattr__(self, "amps", amps)
 
     def __setattr__(self, name, value):
         raise AttributeError("QubitState is immutable")
 
     @classmethod
-    def _reindexed(cls, n, amps):
-        # A state over amps, a complex128 vector gathered from (or a view of)
-        # a validated state's amplitudes, without copying or checking it again.
-        amps.setflags(write=False)
+    def _trusted(cls, n, amps):
+        # No copy, no check: amps is 2**n complex128 values the library
+        # computed, a unit vector but for conformance_rows' as-printed Phi2.
         state = object.__new__(cls)
-        object.__setattr__(state, "n", n)
-        object.__setattr__(state, "amps", amps)
+        state._hold(n, amps)
         return state
 
     def __repr__(self):
@@ -120,38 +110,43 @@ def _is_pun(amps):
     )
 
 
-def make_state(n, amps, normalize=False):
-    """Validate (and optionally rescale) an amplitude vector into a QubitState.
-
-    Without ``normalize`` the squared norm must sit within 1e-6 of 1 and the
-    amplitudes are stored verbatim, so round-trips through the text formats
-    stay bit-exact; a squared norm below 1e-24 is rejected as numerically
-    zero.  With ``normalize`` any nonzero finite vector, at any scale the
-    floats hold, is rescaled to unit norm and validated again; only the zero
-    vector is rejected.
-    """
+def _amplitude_vector(n, amps):
+    # An outside vector as a new complex128 array of 2**n finite entries.
     if _is_pun(amps):
         raise StateError("amplitudes must be numbers, not booleans, strings or bytes")
     try:
-        arr = np.asarray(amps, dtype=np.complex128)
+        arr = np.array(amps, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):
         raise StateError("amplitudes must be numbers") from None
-    if arr.ndim != 1:
-        raise ShapeError(f"amplitudes must be a flat vector, got shape {arr.shape}")
+    _check_qubit_count(n)
+    if arr.shape != (1 << n,):
+        raise ShapeError(f"{n} qubits need {1 << n} amplitudes, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise StateError("amplitudes must be finite")
+    return arr
+
+
+def make_state(n, amps, normalize=False):
+    """Validate (and optionally rescale) an amplitude vector into a QubitState.
+
+    Without ``normalize`` this is ``QubitState(n, amps)``: the squared norm
+    must sit within 1e-6 of 1 and the amplitudes are stored verbatim, so
+    round-trips through the text formats stay bit-exact; a squared norm
+    below 1e-24 is rejected as numerically zero.  With ``normalize`` any
+    nonzero finite vector, at any scale the floats hold, is rescaled to unit
+    norm; only the zero vector is rejected.
+    """
     if not normalize:
-        return QubitState(n, arr)
+        return QubitState(n, amps)
     # Divide by the power of two of the largest real or imaginary part first:
     # exact, so the norm neither overflows nor underflows, and for inputs whose
     # norm is in range arr / norm(arr) keeps every bit.
-    parts = np.ascontiguousarray(arr).view(np.float64)
-    top = np.max(np.abs(parts), initial=0.0)
-    if not np.isfinite(top):
-        raise StateError("amplitudes must be finite")
-    unit = np.ldexp(parts, -np.frexp(top)[1]).view(np.complex128)
+    parts = _amplitude_vector(n, amps).view(np.float64)
+    unit = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(np.complex128)
     norm = float(np.linalg.norm(unit))
     if norm == 0.0:
         raise DegenerateStateError("amplitude vector is zero")
-    return QubitState(n, unit / norm, _norm_tol=NORM_TOL_STRICT)
+    return QubitState._trusted(n, unit / norm)
 
 
 class PairEncoding:
@@ -203,7 +198,7 @@ def encode_pair(state):
 def decode_pair(enc):
     """Invert encode_pair back to the amplitude vector (exact, slot-wise)."""
     coeffs = np.stack([enc.u1.coeffs, enc.u2.coeffs]) * _PAIR_SIGNS[enc.n]
-    return QubitState(enc.n, coeffs.reshape(-1).view(np.complex128), _norm_tol=None)
+    return QubitState(enc.n, coeffs.reshape(-1).view(np.complex128))
 
 
 def permute_qubits(state, perm):
@@ -212,7 +207,7 @@ def permute_qubits(state, perm):
     if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
     t = state.amps.reshape((2,) * n)
-    return QubitState._reindexed(n, np.transpose(t, axes=perm).reshape(-1))
+    return QubitState._trusted(n, np.transpose(t, axes=perm).reshape(-1))
 
 
 # _FRONT[n][q]: the amplitude indices with qubit q first, the others in order.
@@ -226,7 +221,7 @@ def bring_to_front(state, qubit):
     """Permutation helper: move one qubit into role 0, others keep their order."""
     if not (_is_int(qubit) and 0 <= qubit < state.n):
         raise ValueError(f"qubit index {qubit!r} out of range for n={state.n}")
-    return QubitState._reindexed(state.n, state.amps[_FRONT[state.n][qubit]])
+    return QubitState._trusted(state.n, state.amps[_FRONT[state.n][qubit]])
 
 
 # numpy's SeedSequence hash: its constants, 32-bit words and the four-word
@@ -354,7 +349,14 @@ def random_state(n, seed, index=0):
     sample ``index`` never depends on how many other samples were drawn.
     """
     _check_natural("index", index)
-    return QubitState(n, _random_amplitudes(n, seed, [index])[0], _norm_tol=None)
+    return QubitState._trusted(n, _random_amplitudes(n, seed, [index])[0])
+
+
+def _uniform(n, indices):
+    # The equal superposition of the basis states at these amplitude indices.
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[indices] = 1 / np.sqrt(len(indices))
+    return QubitState._trusted(n, amps)
 
 
 def basis_state(n, bits):
@@ -362,29 +364,22 @@ def basis_state(n, bits):
     _check_qubit_count(n)
     if not (isinstance(bits, str) and len(bits) == n and set(bits) <= {"0", "1"}):
         raise ShapeError(f"{n} qubits need a string of {n} bits, got {bits!r}")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[int(bits, 2)] = 1.0
-    return QubitState(n, amps, _norm_tol=None)
+    return _uniform(n, [int(bits, 2)])
 
 
 def bell_state():
-    return make_state(2, np.array([1, 0, 0, 1]) / np.sqrt(2), normalize=False)
+    return ghz_state(2)
 
 
 def ghz_state(n):
     _check_qubit_count(n)
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = amps[-1] = 1 / np.sqrt(2)
-    return QubitState(n, amps, _norm_tol=None)
+    return _uniform(n, [0, (1 << n) - 1])
 
 
 def w_state(n):
     """Single-excitation symmetric state (|10..0> + |01..0> + ... )/sqrt(n)."""
     _check_qubit_count(n)
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    for q in range(n):
-        amps[1 << q] = 1 / np.sqrt(n)
-    return QubitState(n, amps, _norm_tol=None)
+    return _uniform(n, [1 << q for q in range(n)])
 
 
 def product_state(factors):

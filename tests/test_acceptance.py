@@ -272,7 +272,7 @@ def test_criterion_09_parser_round_trip_and_fuzz(record_verdict):
             "1/sqrt(2*sqrt(10))*(3|0000>+3|1111>-|0011>-|1100>"
             "+3|0101>+3|1010>-|0110>-|1001>)"
         )
-        corpus.append(QubitState(n, raw, _norm_tol=None))
+        corpus.append(QubitState._trusted(n, raw))
         for m in (1, 2, 3, 4):
             for k in range(250):
                 corpus.append(random_state(m, seed=2009 + m, index=k))

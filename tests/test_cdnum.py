@@ -409,6 +409,19 @@ def test_element_validation():
     for k in (-1, 4):
         with pytest.raises(ValueError):
             basis(2, k)
+    # Levels and indices are ints: numpy read basis(2, True) as a mask over
+    # every coefficient, and a bool level built a complex element.
+    for level in (True, False, 1.0, 2.5, "2", None):
+        with pytest.raises(ValueError):
+            CDElement(level, np.zeros(2))
+        with pytest.raises(ValueError):
+            basis(level, 0)
+    for k in (True, False, 1.0, np.float64(2.0)):
+        with pytest.raises(ValueError):
+            basis(2, k)
+    with pytest.raises(ValueError):
+        zero(True)
+    assert basis(np.int64(2), np.int8(3)).coeffs.tolist() == [0, 0, 0, 1]
     with pytest.raises(ValueError):
         from_complex_pairs(2, [1, 2, 3])
     # Operands other than elements and real scalars are TypeErrors, and a

@@ -14,10 +14,10 @@ from hopfq.cdnum import (
     cd_conj,
     cd_mul,
     cd_norm_sq,
-    from_complex_pairs,
 )
 from hopfq.fibration import (
     BaseCoordinates,
+    _quotient_blocks_2,
     _quotient_blocks_3,
     _quotient_blocks_4,
     ball_coordinates,
@@ -380,15 +380,15 @@ def test_quotient_no_global_sign_relation_4():
 
 def test_quotient_numerators_equal_the_product_form():
     # the numerator is sum_k block_k * i_unit_k, once written with cd_mul
-    for n, step in ((3, 2), (4, 4)):
+    for n, step, quotient_blocks in (
+        (2, 2, _quotient_blocks_2), (3, 2, _quotient_blocks_3), (4, 4, _quotient_blocks_4)
+    ):
         for k in range(60):
             s = random_state(n, seed=70 + n, index=k)
-            if n == 3:
-                blocks, _ = _quotient_blocks_3(s.amps)
-                embed = [from_complex_pairs(3, [b, 0, 0, 0]) for b in blocks]
-            else:
-                blocks, _ = _quotient_blocks_4(s.amps)
-                embed = [CDElement(4, np.concatenate([b.coeffs, np.zeros(12)])) for b in blocks]
+            blocks = quotient_blocks(s.amps)
+            embed = [
+                CDElement(n, np.concatenate([b, np.zeros((1 << n) - len(b))])) for b in blocks
+            ]
             want = sum(
                 (cd_mul(x, basis(n, step * j)).coeffs for j, x in enumerate(embed)),
                 np.zeros(1 << n),

@@ -234,13 +234,18 @@ def test_sample_table_columns():
 
 
 def test_sample_table_takes_int_arguments_only():
-    # n = 5 and n = 0 once raised KeyError, and n = True ran as n = 1
+    # n = 5 and n = 0 once raised KeyError, and n = True ran as n = 1; the
+    # stream once yielded its header before a bad n or seed raised
     for n in (5, 0, True, 4.0):
         with pytest.raises(ShapeError):
             sample_table(n, 2, 1)
+        with pytest.raises(ShapeError):
+            next(sample_rows(n, 0, 1))
     for count, seed in ((2.0, 1), (-1, 1), (2, True), (2, 1.5), (2, -1)):
         with pytest.raises(StateError, match="nonnegative integer"):
             sample_table(2, count, seed)
+        with pytest.raises(StateError, match="nonnegative integer"):
+            next(sample_rows(2, count, seed))
     assert sample_table(2, np.int64(3), np.uint16(1)) == sample_table(2, 3, 1)
 
 
@@ -384,7 +389,7 @@ def test_stacked_report_is_the_per_qubit_report(n, data):
 
 def _normalized_report(amps):
     # The JSON report of --normalize on the 17-digit text of these amplitudes.
-    text = format_state(QubitState(len(amps).bit_length() - 1, amps, _norm_tol=None))
+    text = format_state(QubitState._trusted(len(amps).bit_length() - 1, amps))
     return report_to_json(analysis_report(parse_state(text, normalize=True)))
 
 

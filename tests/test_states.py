@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.cdnum import basis, complex_pairs, one
+from hopfq.cdnum import basis, complex_pairs, one, zero
 from hopfq.states import (
     DegenerateStateError,
     MAX_QUBITS,
     NormalizationError,
+    PairEncoding,
     QubitState,
     ShapeError,
     StateError,
@@ -106,6 +107,15 @@ def test_decode_round_trip_exact():
             back = decode_pair(encode_pair(s))
             assert back.n == n
             assert np.array_equal(back.amps, s.amps)
+
+
+def test_decode_pair_checks_the_norm():
+    # A pair that no unit state encodes to decodes to no state.
+    with pytest.raises(DegenerateStateError):
+        decode_pair(PairEncoding(2, zero(2), zero(2)))
+    enc = encode_pair(random_state(2, seed=5))
+    with pytest.raises(NormalizationError):
+        decode_pair(PairEncoding(2, 3.0 * enc.u1, 3.0 * enc.u2))
 
 
 def test_encode_levels():
@@ -443,12 +453,17 @@ def test_make_state_rejects_type_puns():
         for normalize in (False, True):
             with pytest.raises(StateError, match="booleans, strings or bytes"):
                 make_state(1, amps, normalize=normalize)
+        with pytest.raises(StateError, match="booleans, strings or bytes"):
+            QubitState(1, amps)
 
 
 def test_make_state_stores_verbatim():
     amps = np.array([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], dtype=np.complex128)
     s = make_state(2, amps)
     assert np.array_equal(s.amps, amps)
+    # a copy: the caller's array stays writable and the state keeps its values
+    amps[0] = 0.0
+    assert s.amps[0] != 0.0
 
 
 def test_state_immutable():
