@@ -45,9 +45,9 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_level(level):
-    if not (_is_int(level) and 0 <= level <= MAX_LEVEL):
-        raise ValueError(f"level must be an integer in 0..{MAX_LEVEL}, got {level!r}")
+def _check_level(level, lowest=0):
+    if not (_is_int(level) and lowest <= level <= MAX_LEVEL):
+        raise ValueError(f"level must be an integer in {lowest}..{MAX_LEVEL}, got {level!r}")
 
 
 def _raising():
@@ -121,6 +121,7 @@ class CDElement:
 
 
 def zero(level):
+    _check_level(level)
     return CDElement(level, np.zeros(1 << level))
 
 
@@ -146,6 +147,7 @@ def from_complex_pairs(level, values):
     layout the doubling construction induces, so e.g. level 2 with values
     (c0, c1) is the quaternion c0 + c1*i_2.
     """
+    _check_level(level, lowest=1)
     v = np.asarray(values, dtype=np.complex128)
     if v.shape != (1 << (level - 1),):
         raise ValueError(f"level {level} needs {1 << (level - 1)} complex values")

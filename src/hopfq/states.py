@@ -4,7 +4,7 @@ Qubit 0 is the most significant bit: the amplitude of |b0 b1 ... b(n-1)> sits
 at index b0*2**(n-1) + ... + b(n-1).  A state maps to a pair (u1, u2) of
 level-n elements; u1 collects the amplitudes with qubit 0 in |0>, u2 those
 with qubit 0 in |1>.  Amplitude k occupies complex slot (k mod 2**(n-1)) of
-its half, conjugated in the even-parity slots described at _HALF_CONJ below
+its half, conjugated in the even-parity slots described at _PAIR_SIGNS below
 so that the base-map coordinates reproduce the closed-form entanglement
 results for every qubit count.
 """
@@ -167,17 +167,13 @@ class PairEncoding:
 # uniformly across slots, which makes the base-map invariant equal
 # 4*det(rho) of the leading qubit and sends every one-vs-rest product state
 # to the boundary sphere (both facts are locked in by the test suite).
-_HALF_CONJ = {
-    n: tuple(bin(j).count("1") % 2 == 0 and j > 0 for j in range(1 << (n - 1)))
-    for n in range(1, MAX_QUBITS + 1)
-}
-
-
-# _HALF_CONJ as signs on a half's interleaved (re, im) coefficients: -1 on
-# the imaginary part of each conjugated slot, +1 everywhere else.
+# _PAIR_SIGNS[n] holds the rule as signs on a half's interleaved (re, im)
+# coefficients: -1 on the imaginary part of each conjugated slot, +1 elsewhere.
 _PAIR_SIGNS = {
-    n: np.array([[1.0, -1.0 if conj else 1.0] for conj in slots]).ravel()
-    for n, slots in _HALF_CONJ.items()
+    n: np.array([
+        [1.0, -1.0 if j and bin(j).count("1") % 2 == 0 else 1.0] for j in range(1 << (n - 1))
+    ]).ravel()
+    for n in range(1, MAX_QUBITS + 1)
 }
 
 
@@ -197,6 +193,12 @@ def encode_pair(state):
 
 def decode_pair(enc):
     """Invert encode_pair back to the amplitude vector (exact, slot-wise)."""
+    _check_qubit_count(enc.n)
+    if not enc.u1.level == enc.u2.level == enc.n:
+        raise ShapeError(
+            f"{enc.n} qubits need two level-{enc.n} elements, "
+            f"got levels {enc.u1.level} and {enc.u2.level}"
+        )
     coeffs = np.stack([enc.u1.coeffs, enc.u2.coeffs]) * _PAIR_SIGNS[enc.n]
     return QubitState(enc.n, coeffs.reshape(-1).view(np.complex128))
 
@@ -220,7 +222,7 @@ _FRONT = {
 def bring_to_front(state, qubit):
     """Permutation helper: move one qubit into role 0, others keep their order."""
     if not (_is_int(qubit) and 0 <= qubit < state.n):
-        raise ValueError(f"qubit index {qubit!r} out of range for n={state.n}")
+        raise StateError(f"qubit index {qubit!r} out of range for n={state.n}")
     return QubitState._trusted(state.n, state.amps[_FRONT[state.n][qubit]])
 
 

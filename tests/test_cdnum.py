@@ -424,6 +424,15 @@ def test_element_validation():
     assert basis(np.int64(2), np.int8(3)).coeffs.tolist() == [0, 0, 0, 1]
     with pytest.raises(ValueError):
         from_complex_pairs(2, [1, 2, 3])
+    # The level is checked before it sizes an array: zero(1.0) once raised a
+    # TypeError from 1 << 1.0, and from_complex_pairs(0, []) a negative shift.
+    for level in (1.0, 2.5, -1, 5, "2", None):
+        with pytest.raises(ValueError, match=r"level must be an integer in 0\.\.4"):
+            zero(level)
+    for level in (0, True, False, 1.0, 2.0, -1, 5, None):
+        with pytest.raises(ValueError, match=r"level must be an integer in 1\.\.4"):
+            from_complex_pairs(level, [])
+    assert from_complex_pairs(np.int64(1), [2j]).coeffs.tolist() == [0, 2]
     # Operands other than elements and real scalars are TypeErrors, and a
     # bool is no scalar; numpy integers scale as Python ints do.
     x = one(2) + basis(2, 1)

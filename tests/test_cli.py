@@ -6,6 +6,7 @@ import importlib.resources
 import io
 import json
 import pathlib
+import random
 import sys
 import warnings
 
@@ -13,16 +14,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_braket import _FUZZ_ALPHABET
+from test_braket import _FUZZ_ALPHABET, _random_expression
 
+import hopfq
 import hopfq.cli as cli
-import hopfq.reporting
 from hopfq.braket import ParseError, parse_state
+from hopfq.reporting import PUBLISHED_STATES
 from hopfq.states import (
     StateError,
     ghz_state,
     make_state,
     permute_qubits,
+    random_state,
     read_state_file,
     state_from_json,
     state_to_json,
@@ -111,10 +114,11 @@ def test_analyze_out_of_range_input_is_a_typed_error(capsys):
 
 
 def test_analyze_qubit_out_of_range_exit_2(capsys):
-    code, _, err = _run(
-        capsys, "analyze", "--state", "|01>", "--qubit", "5"
-    )
-    assert code == 2 and "out of range" in err
+    # bring_to_front owns the qubit range; main maps its StateError to exit 2
+    for qubit in ("5", "2", "-1"):
+        assert _run(capsys, "analyze", "--state", "|01>", "--qubit", qubit) == (
+            2, "", f"error: qubit index {qubit} out of range for n=2\n"
+        )
 
 
 def test_analyze_numeric_failure_exit_3(capsys, monkeypatch):
@@ -124,6 +128,27 @@ def test_analyze_numeric_failure_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(hopfq.reporting, "analyze_state", boom)
     code, _, err = _run(capsys, "analyze", "--state", "|01>")
     assert code == 3 and "numeric" in err
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (StateError("synthetic state error"), 2, "synthetic state error"),
+    (ParseError("synthetic parse error", 1, 2), 1, "line 1, column 2: synthetic parse error"),
+    (FloatingPointError("synthetic overflow"), 3, "numeric failure: synthetic overflow"),
+], ids=["state", "parse", "numeric"])
+@pytest.mark.parametrize("module, name, argv", [
+    ("reporting", "conformance_rows", ["verify-paper"]),
+    ("reporting", "sample_rows", ["sample", "--qubits=2", "--count=3"]),
+    ("cdnum", "find_basis_zero_divisors", ["zero-divisors"]),
+], ids=["verify-paper", "sample", "zero-divisors"])
+def test_typed_errors_of_every_command_map_to_exit_codes(
+    capsys, monkeypatch, error, code, message, module, name, argv
+):
+    # One ladder in main serves every command: an error, not a traceback.
+    def boom(*args):
+        raise error
+
+    monkeypatch.setattr(getattr(hopfq, module), name, boom)
+    assert _run(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
 def test_analyze_qubit_flag_equals_permuted(capsys, tmp_path):
@@ -367,6 +392,84 @@ def test_entry_points_raise_only_typed_errors(data):
                 assert not _has_pun(amps), amps
         except (ParseError, StateError):
             pass
+
+
+def _contract_state(rng, directory):
+    # A --state value: bra-ket text with any outcome, or a state file.
+    kind = rng.randrange(5)
+    if kind < 2:
+        return rng.choice(PUBLISHED_STATES)[1]
+    if kind == 2:
+        return _random_expression(rng, rng.randint(1, 4))
+    if kind == 3:
+        return "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randrange(20)))
+    n = rng.randint(1, 4)
+    doc = rng.choice((
+        state_to_json(random_state(n, seed=rng.randrange(100), index=rng.randrange(100))),
+        json.dumps({"n": rng.randint(0, 5),
+                    "amplitudes": [[rng.choice((0, 1, 0.5, 3)), 0] for _ in range(1 << n)]}),
+        "{not json",
+    ))
+    path = directory / "state.json"
+    path.write_text(doc, encoding="utf-8")
+    return str(path)
+
+
+def _contract_argv(rng, directory):
+    # One command line over the four subcommands, good and bad values alike.
+    command = rng.choice(("analyze", "analyze", "verify-paper", "sample", "zero-divisors"))
+    if command == "analyze":
+        qubit = rng.randint(-2, 5) if rng.random() < 0.4 else rng.randint(0, 1)
+        argv = [command, f"--state={_contract_state(rng, directory)}", f"--qubit={qubit}"]
+        argv += rng.choice(([], ["--normalize"]))
+        argv += rng.choice(([], [], [], ["--format=csv"], ["--format=csv"], ["--format=xml"]))
+    elif command == "verify-paper":
+        argv = [command] + rng.choice(([], ["--strict"]))
+        argv += rng.choice(([], ["--format=text"], ["--format=json"], ["--format=csv"]))
+    elif command == "sample":
+        seed = rng.choice((rng.randint(-3, 99), rng.randrange(2**70)))
+        argv = [command, f"--qubits={rng.randint(0, 5)}", f"--count={rng.randint(-2, 20)}",
+                f"--seed={seed}"]
+    else:
+        argv = [command] + rng.choice(([], ["--table"]))
+        argv += rng.choice(([], [f"--level={rng.randint(-1, 5)}"]))
+    out = rng.choice((None, None, None, "out.txt", "missing/out.txt"))
+    return argv if out is None else argv + [f"--out={directory / out}"]
+
+
+def _contract_run(argv, directory):
+    # (exit code, argparse usage exit?, stdout, --out text or None, stderr)
+    out, err = io.StringIO(), io.StringIO()
+    usage = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code, usage = exc.code, True
+    written = directory / "out.txt"
+    text = written.read_text(encoding="utf-8") if written.exists() else None
+    written.unlink(missing_ok=True)
+    return code, usage, out.getvalue(), text, err.getvalue()
+
+
+def test_cli_contract_digest_is_pinned(tmp_path):
+    # sha256 over (argv, exit code, stdout, --out text) of 500 fixed command
+    # lines, as the CLI answered them when each command caught its own errors.
+    rng = random.Random(1414)
+    digest = hashlib.sha256()
+    commands, codes = set(), set()
+    for _ in range(500):
+        argv = _contract_argv(rng, tmp_path)
+        code, usage, out, written, err = _contract_run(argv, tmp_path)
+        if code in (1, 2, 3) and not usage:
+            assert err.startswith("error: "), argv
+        commands.add(argv[0])
+        codes.add(code)
+        argv = [arg.replace(str(tmp_path), "<dir>") for arg in argv]
+        digest.update(repr((argv, code, out, written)).encode())
+    assert commands == {"analyze", "verify-paper", "sample", "zero-divisors"}
+    assert codes == {0, 1, 2, 4}
+    assert digest.hexdigest() == "bfd568094e484c68db46a6f1f31985d7127e2ad0899d6d8baed3c27d58e38138"
 
 
 def test_zero_divisor_census(capsys):

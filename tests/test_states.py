@@ -118,6 +118,20 @@ def test_decode_pair_checks_the_norm():
         decode_pair(PairEncoding(2, 3.0 * enc.u1, 3.0 * enc.u2))
 
 
+def test_decode_pair_checks_the_shape():
+    # An unsupported n once raised KeyError from the sign table, and elements
+    # of another level numpy's broadcast ValueError.
+    for n in (0, 5, True, 2.0, None):
+        with pytest.raises(ShapeError, match="qubit count"):
+            decode_pair(PairEncoding(n, zero(2), zero(2)))
+    enc = encode_pair(random_state(2, seed=5))
+    for u1, u2 in ((enc.u1, enc.u1), (zero(3), enc.u2), (enc.u1, zero(1))):
+        with pytest.raises(ShapeError, match="level-3 elements"):
+            decode_pair(PairEncoding(3, u1, u2))
+    with pytest.raises(ShapeError, match="got levels 2 and 1"):
+        decode_pair(PairEncoding(2, enc.u1, zero(1)))
+
+
 def test_encode_levels():
     for n in (1, 2, 3, 4):
         enc = encode_pair(random_state(n, seed=7))
@@ -164,9 +178,10 @@ def test_bring_to_front():
     assert np.array_equal(same.amps, s.amps)
     assert repr(front) == "QubitState(n=3)"
     # -1 must not wrap around to the last qubit, and n must not reach numpy;
-    # numpy would read True as a mask and reject 1.0 with an IndexError
-    for q in (-1, 3, True, np.True_, 1.0):
-        with pytest.raises(ValueError, match="out of range"):
+    # numpy would read True as a mask and reject 1.0 with an IndexError.  The
+    # one qubit-range check raises a StateError, which the CLI maps to exit 2.
+    for q in (-1, 3, True, np.True_, 1.0, "0"):
+        with pytest.raises(StateError, match=f"qubit index {q!r} out of range for n=3"):
             bring_to_front(s, q)
     assert np.array_equal(bring_to_front(s, np.int64(1)).amps, front.amps)
 
