@@ -233,17 +233,28 @@ def _xor_terms(level):
 
 
 def _mul(x, y):
-    """Products of coefficient arrays of shape (..., 2**level), broadcast.
+    """Products of same-dtype coefficient arrays of shape (..., 2**level).
+
+    The result has y's shape.  x has that shape too, or is one row,
+    (2**level,) or (1, 2**level), against the rows of y.  The terms are
+    gathered from y into one buffer and multiplied in place, so an x with
+    more rows than y, or of another dtype, raises instead of being cast.
 
     The terms are laid out as (..., a, k) and summed over a, the second to
     last axis.  That strided reduction adds the terms of every row in the
     same order whatever the leading shape, so a row's product is bit for bit
     the same alone or in a batch; a reduction over a contiguous last axis
     is not.  The int8 signs take the operands' dtype: float arrays give
-    float products, object arrays of Fractions exact ones.
+    float products, object arrays of Fractions exact ones.  A sign is +-1,
+    so applying it last gives the bits of applying it first.
     """
+    if x.dtype != y.dtype:
+        raise TypeError(f"operands must share a dtype, got {x.dtype} and {y.dtype}")
     gather, signs = _xor_terms(x.shape[-1].bit_length() - 1)
-    return (signs * x[..., :, None] * y[..., gather]).sum(axis=-2)
+    terms = y.take(gather, axis=-1)
+    terms *= x[..., :, None]
+    terms *= signs
+    return terms.sum(axis=-2)
 
 
 def cd_mul(x, y):

@@ -30,7 +30,7 @@ from .cdnum import (
     cd_mul,
     from_complex_pairs,
 )
-from .states import _encode_pairs
+from .states import ShapeError, _encode_pairs
 
 E_SNAP_WINDOW = 1e-9
 _MES_TOL = 1e-9
@@ -115,7 +115,7 @@ def _e_values(bc):
 def e_measure(state):
     """Both E expressions plus the norm defect: (e_complement, e_sum, defect)."""
     if state.n < 2:
-        raise ValueError("entanglement measure needs at least 2 qubits")
+        raise ShapeError("entanglement measure needs at least 2 qubits")
     return _e_values(base_coordinates(state))
 
 
@@ -163,7 +163,7 @@ def hopf_quotient(state):
     """
     n, a = state.n, state.amps
     if n not in _QUOTIENT_BLOCKS:
-        raise ValueError("quotient is defined for 2..4 qubits")
+        raise ShapeError("quotient is defined for 2..4 qubits")
     den = float(sum(abs(z) ** 2 for z in a[1 << (n - 1) :]))
     return _on_units(n, _QUOTIENT_BLOCKS[n](a)), den
 
@@ -197,7 +197,7 @@ def _at_origin(ball):
 def ball_coordinates(state):
     """The 4-qubit solid-ball point (comps[0], comps[1], delta)."""
     if state.n != 4:
-        raise ValueError("ball coordinates are defined for 4 qubits")
+        raise ShapeError("ball coordinates are defined for 4 qubits")
     return _ball(base_coordinates(state))
 
 

@@ -295,9 +295,10 @@ def rows_to_csv(rows):
     return out.getvalue()
 
 
-# States per step of sample_rows.  Each step holds a few (states, 16, 16)
-# arrays at n = 4 (0.5 MB each at 256 states), well under the text of a
-# 10**4-state table, so streaming the steps keeps peak memory down.
+# States per step of sample_rows.  A step's largest array is the product's
+# one (states, 16, 16) term buffer at n = 4 (0.5 MB at 256 states), well
+# under the text of a 10**4-state table, so streaming the steps keeps peak
+# memory down.
 _SAMPLE_CHUNK = 256
 
 
@@ -317,7 +318,9 @@ def sample_rows(n, count, seed):
             x, y, z = bc.comps[:, 0], bc.comps[:, 1], bc.delta
             columns.append(np.sqrt(x * x + y * y + z * z))
         rows = zip(indices, *(c.tolist() for c in columns))
-        yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        # %r is repr, so one format per chunk writes each row's own text.
+        row_format = "%d" + ",%r" * len(columns) + "\n"
+        yield row_format * len(indices) % tuple(itertools.chain.from_iterable(rows))
 
 
 def sample_table(n, count, seed):

@@ -207,7 +207,7 @@ def permute_qubits(state, perm):
     """Reindex amplitudes so original qubit perm[j] occupies position j."""
     n = state.n
     if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
-        raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
+        raise StateError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
     t = state.amps.reshape((2,) * n)
     return QubitState._trusted(n, np.transpose(t, axes=perm).reshape(-1))
 
@@ -322,7 +322,6 @@ def _random_amplitudes(n, seed, indices):
     z = np.empty((len(keys), 2, m))
     # Its seed is never drawn from: every row sets the whole state.
     bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": None},
@@ -331,10 +330,11 @@ def _random_amplitudes(n, seed, indices):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for row, key in enumerate(keys.tolist()):
+    normal = np.random.Generator(bitgen).standard_normal
+    for key, row in zip(keys.tolist(), z):
         state["state"]["key"] = key
         bitgen.state = state
-        gen.standard_normal(out=z[row])
+        normal(out=row)
     amps = z[:, 0] + 1j * z[:, 1]
     # Squared real and imaginary parts as (N, 2**n, 2), summed over the
     # amplitude axis: a reduction over a non-last axis, which adds each row

@@ -7,7 +7,7 @@ coordinates rather than reusing them.
 
 import numpy as np
 
-from .states import _FRONT, bring_to_front
+from .states import _FRONT, ShapeError, bring_to_front
 
 SEP_TOL = 1e-9
 
@@ -29,7 +29,7 @@ def partial_trace_to_single(state, keep):
 def concurrence(state):
     """Two-qubit concurrence 2|a00*a11 - a01*a10|."""
     if state.n != 2:
-        raise ValueError("concurrence is defined for 2 qubits")
+        raise ShapeError("concurrence is defined for 2 qubits")
     a = state.amps
     return 2.0 * float(abs(a[0] * a[3] - a[1] * a[2]))
 
@@ -42,7 +42,7 @@ def hyperdeterminant_222(state):
     Equal in magnitude to the classical quartic polynomial; see three_tangle.
     """
     if state.n != 3:
-        raise ValueError("the hyperdeterminant is defined for 3 qubits")
+        raise ShapeError("the hyperdeterminant is defined for 3 qubits")
     a = state.amps.reshape(2, 2, 2)
     c = np.einsum("il,jm,ijk,lmn->kn", _EPS, _EPS, a, a)
     return complex(0.5 * np.einsum("il,jm,ij,lm->", _EPS, _EPS, c, c))
@@ -56,7 +56,7 @@ def three_tangle(state):
 def two_tangles(state):
     """Pairwise one-vs-rest tangles (tau_A, tau_B, tau_C) for 3 qubits."""
     if state.n != 3:
-        raise ValueError("two_tangles is defined for 3 qubits")
+        raise ShapeError("two_tangles is defined for 3 qubits")
     return tuple(_tau_first(state.amps[_FRONT[3]]).tolist())
 
 
@@ -102,7 +102,7 @@ def classify_three(state):
     two-qubit factor decides between bi- and fully separable.
     """
     if state.n != 3:
-        raise ValueError("classification is defined for 3 qubits")
+        raise ShapeError("classification is defined for 3 qubits")
     fronts = state.amps[_FRONT[3]]
     return _classify_three(fronts, _separable_rows(fronts.reshape(3, 2, -1)).tolist())
 

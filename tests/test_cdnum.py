@@ -1,4 +1,5 @@
 import importlib.resources
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hopfq.cdnum import (
     _mul,
     _mul_recursive,
     _sign_rows,
+    _xor_terms,
     basis,
     basis_product_table,
     cd_conj,
@@ -503,3 +505,68 @@ def test_kernel_matches_recursive_rule_and_rows_are_batch_free(batch):
         alone = cd_mul(CDElement(level, x[row]), CDElement(level, y[row])).coeffs
         assert alone.tobytes() == prod[row].tobytes()
         assert _mul(x[row:row + 1], y[row:row + 1])[0].tobytes() == prod[row].tobytes()
+
+
+def _mul_signs_first(x, y):
+    # The kernel with the signs applied first, on three fresh temporaries.
+    gather, signs = _xor_terms(x.shape[-1].bit_length() - 1)
+    return (signs * x[..., :, None] * y[..., gather]).sum(axis=-2)
+
+
+def _mixed_floats(rng, shape):
+    # Signed zeros, subnormals and magnitudes across the float range; no
+    # product or sum of 16 terms overflows.
+    special = rng.choice([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0], shape)
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+    return np.where(rng.random(shape) < 0.3, special, wide)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 256])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_kernel_rows_alone_and_in_a_batch_are_bit_identical(level, rows):
+    rng = np.random.default_rng(100 * level + rows)
+    x, y = (_mixed_floats(rng, (rows, 1 << level)) for _ in range(2))
+    prod = _mul(x, y)
+    # A sign is +-1, so (s*x)*y and (x*y)*s round alike, -0.0 included.
+    assert prod.tobytes() == _mul_signs_first(x, y).tobytes()
+    # Every supported broadcast form: one row of x, 1-D or (1, m), against
+    # the N rows of y, and any row alone, 1-D or (1, m).
+    one_x = _mul(x[0], y)
+    assert one_x.tobytes() == _mul(x[:1], y).tobytes()
+    assert one_x.tobytes() == _mul_signs_first(x[:1], y).tobytes()
+    for row in range(rows):
+        assert _mul(x[row], y[row]).tobytes() == prod[row].tobytes()
+        assert _mul(x[row:row + 1], y[row:row + 1])[0].tobytes() == prod[row].tobytes()
+        assert _mul(x[0], y[row]).tobytes() == one_x[row].tobytes()
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_kernel_products_of_fractions_are_exact(level):
+    rng = np.random.default_rng(level)
+    m = 1 << level
+    x, y = (
+        np.array([Fraction(int(p), int(q)) for p, q in rng.integers(1, 50, (m, 2))], dtype=object)
+        * rng.choice([-1, 1], m)
+        for _ in range(2)
+    )
+    batch = np.stack([x, y, x * 3])
+    for a, b in ((x, y), (x, batch), (batch, batch[::-1].copy())):
+        prod = _mul(a, b)
+        assert prod.dtype == object
+        assert all(type(c) is Fraction for c in prod.ravel())
+        assert (prod == _mul_recursive(a, b)).all()
+
+
+def test_kernel_rejects_unsupported_operands():
+    x = np.arange(48.0).reshape(3, 16)
+    # The product is written into a buffer gathered from y: an x with more
+    # rows than y, or of another dtype, raises instead of being cast.
+    with pytest.raises(ValueError):
+        _mul(x, x[:1])
+    with pytest.raises(ValueError):
+        _mul(x, x[0])
+    fractions = np.array([Fraction(k) for k in range(16)], dtype=object)
+    for a, b in ((x[0], fractions), (fractions, x[0]), (x, x.astype(np.float32)),
+                 (x.astype(np.float32), x)):
+        with pytest.raises(TypeError, match="share a dtype"):
+            _mul(a, b)

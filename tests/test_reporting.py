@@ -300,6 +300,20 @@ def test_sample_rows_stream_one_string_per_chunk():
     assert "".join(chunks) == sample_table(2, count, seed=4)
 
 
+@pytest.fixture(scope="module")
+def default_chunk_tables():
+    return {n: sample_table(n, 600, seed=19) for n in (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 255, 256, 1000])
+def test_sample_text_does_not_depend_on_chunk_size(monkeypatch, default_chunk_tables, chunk):
+    # A row's text is that of its state alone, so neither the batched kernel
+    # nor the one format per chunk may depend on where the chunks split.
+    monkeypatch.setattr(hopfq.reporting, "_SAMPLE_CHUNK", chunk)
+    for n, table in default_chunk_tables.items():
+        assert sample_table(n, 600, seed=19) == table
+
+
 def test_report_computes_base_coordinates_once(monkeypatch):
     calls = []
 

@@ -163,9 +163,9 @@ def test_permute_identity_and_composition():
 
 def test_permute_rejects_non_permutation():
     s = ghz_state(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(StateError):
         permute_qubits(s, [0, 0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(StateError):
         permute_qubits(s, [0, 1])
 
 
@@ -189,7 +189,7 @@ def test_bring_to_front():
 def test_permutation_entries_must_be_ints():
     s = bell_state()
     for perm in ([True, False], [1.0, 0.0], np.array([True, False])):
-        with pytest.raises(ValueError, match="permutation"):
+        with pytest.raises(StateError, match="permutation"):
             permute_qubits(s, perm)
     assert np.array_equal(permute_qubits(s, np.array([1, 0])).amps, s.amps)
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from hopfq.fibration import ball_coordinates, e_measure, hopf_quotient, is_mes
 from hopfq.states import (
+    ShapeError,
+    StateError,
     basis_state,
     bell_state,
     bring_to_front,
@@ -209,5 +212,42 @@ def test_classify_three():
     assert classify_three(half) == "bi-separable"
     assert classify_three(ghz_state(3)) == "entangled"
     assert classify_three(w_state(3)) == "entangled"
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError):
         classify_three(bell_state())
+
+
+def permute_qubits_badly(state):
+    return permute_qubits(state, [0] * (state.n + 1))
+
+
+# (function, the qubit counts it takes, the error and message of any other
+# count): a StateError, which the CLI maps to exit 2, and a ShapeError where
+# the count is what is wrong.  No permutation of n + 1 entries fits n qubits.
+_N_SPECIFIC = [
+    (concurrence, {2}, ShapeError, "concurrence is defined for 2 qubits"),
+    (hyperdeterminant_222, {3}, ShapeError, "the hyperdeterminant is defined for 3 qubits"),
+    (three_tangle, {3}, ShapeError, "the hyperdeterminant is defined for 3 qubits"),
+    (two_tangles, {3}, ShapeError, "two_tangles is defined for 3 qubits"),
+    (classify_three, {3}, ShapeError, "classification is defined for 3 qubits"),
+    (e_measure, {2, 3, 4}, ShapeError, "entanglement measure needs at least 2 qubits"),
+    (hopf_quotient, {2, 3, 4}, ShapeError, "quotient is defined for 2..4 qubits"),
+    (ball_coordinates, {4}, ShapeError, "ball coordinates are defined for 4 qubits"),
+    (is_mes, {4}, ShapeError, "ball coordinates are defined for 4 qubits"),
+    (permute_qubits_badly, set(), StateError, "perm must be a permutation"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, defined, error, message",
+    _N_SPECIFIC,
+    ids=[func.__name__ for func, *_ in _N_SPECIFIC],
+)
+def test_n_specific_functions_raise_typed_errors(func, defined, error, message):
+    for n in range(1, 5):
+        state = random_state(n, seed=7)
+        if n in defined:
+            func(state)
+        else:
+            with pytest.raises(error, match=message) as info:
+                func(state)
+            assert isinstance(info.value, ValueError)
