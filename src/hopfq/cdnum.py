@@ -233,28 +233,37 @@ def _xor_terms(level):
 
 
 def _mul(x, y):
-    """Products of same-dtype coefficient arrays of shape (..., 2**level).
+    """Products of same-dtype coefficient arrays with 2**level columns.
 
-    The result has y's shape.  x has that shape too, or is one row,
-    (2**level,) or (1, 2**level), against the rows of y.  The terms are
+    y is one element, (2**level,), or N of them, (N, 2**level), and the
+    result has y's shape.  x has that shape too, or is one element,
+    (2**level,) or (1, 2**level), against the N rows of y.  The terms are
     gathered from y into one buffer and multiplied in place, so an x with
     more rows than y, or of another dtype, raises instead of being cast.
 
-    The terms are laid out as (..., a, k) and summed over a, the second to
-    last axis.  That strided reduction adds the terms of every row in the
-    same order whatever the leading shape, so a row's product is bit for bit
-    the same alone or in a batch; a reduction over a contiguous last axis
-    is not.  The int8 signs take the operands' dtype: float arrays give
-    float products, object arrays of Fractions exact ones.  A sign is +-1,
-    so applying it last gives the bits of applying it first.
+    The terms are laid out C-contiguous as (a, k, N) and summed over a, the
+    leading axis, which is also outermost in memory: numpy adds one (k, N)
+    slice after another, so every row's terms are added in the same order
+    whatever N is, and a row's product is bit for bit the same alone or in
+    a batch.  A reduction over the contiguous last axis, or over a
+    transposed view, may sum pairwise and is not.  The int8 signs take the
+    operands' dtype: float arrays give float products, object arrays of
+    Fractions exact ones.  A sign is +-1, so applying it last gives the bits
+    of applying it first.
     """
     if x.dtype != y.dtype:
         raise TypeError(f"operands must share a dtype, got {x.dtype} and {y.dtype}")
-    gather, signs = _xor_terms(x.shape[-1].bit_length() - 1)
-    terms = y.take(gather, axis=-1)
-    terms *= x[..., :, None]
+    gather, signs = _xor_terms(y.shape[-1].bit_length() - 1)
+    terms = y.T.take(gather, axis=0)
+    if y.ndim == 2:
+        # x's coefficients as contiguous (a, 1, N) rows: unit-stride reads.
+        x = np.ascontiguousarray(x.T).reshape(len(gather), 1, -1)
+        signs = signs[..., None]
+    else:
+        x = x[:, None]
+    terms *= x
     terms *= signs
-    return terms.sum(axis=-2)
+    return terms.sum(axis=0).T
 
 
 def cd_mul(x, y):
@@ -292,11 +301,11 @@ def cd_inverse(x):
 
 def basis_product_table(level):
     """All basis products as rows (a, b, sign, index) with i_a*i_b = sign*i_index."""
+    _check_level(level)
     rows = _sign_rows(level)
     return [(a, b, s, a ^ b) for a, row in enumerate(rows) for b, s in enumerate(row)]
 
 
-@functools.lru_cache(maxsize=None)
 def find_basis_zero_divisors(level):
     """Every (i_a + s1*i_b)(i_c + s2*i_d) = 0 with a<b, c<d, read off the sign table.
 
@@ -312,6 +321,14 @@ def find_basis_zero_divisors(level):
     order.  Empty for every level up to 3 (division algebras); level 4 is the
     first with zero divisors.
     """
+    _check_level(level)
+    return _basis_zero_divisors(level)
+
+
+# Cached behind the check: a cache would answer True or 1.0 from the entry
+# of 1 without checking them.
+@functools.lru_cache(maxsize=None)
+def _basis_zero_divisors(level):
     m = 1 << level
     signs = _sign_rows(level)
     keys = [(a, s, b) for a in range(m) for b in range(a + 1, m) for s in (1, -1)]

@@ -61,16 +61,16 @@ def _base_coordinates(amps):
     u1, u2 = _encode_pairs(amps)
     p = _mul(u2, _conj_coeffs(u1))
     comps = 2.0 * p
-    # u1, u2, p and the tail comps[2:] (its first two slots zero) laid out as
-    # (N, 2**n, 4), squared, and summed over the coefficient axis, not the
-    # last one, so each row's sums do not depend on N (see cdnum._mul).
-    terms = np.empty(p.shape + (4,))
-    terms[..., 0] = u1
-    terms[..., 1] = u2
-    terms[..., 2] = p
-    terms[:, :2, 3] = 0.0
-    terms[:, 2:, 3] = comps[:, 2:]
-    n1, n2, p_sq, e_sum = np.square(terms, out=terms).sum(axis=-2).T
+    # u1, u2, p and the tail comps[2:] (its first two slots zero) laid out
+    # C-contiguous as (2**n, 4, N), squared, and summed over the leading
+    # coefficient axis, so each row's sums do not depend on N (see cdnum._mul).
+    terms = np.empty((p.shape[-1], 4, len(p)))
+    terms[:, 0] = u1.T
+    terms[:, 1] = u2.T
+    terms[:, 2] = p.T
+    terms[:2, 3] = 0.0
+    terms[2:, 3] = comps.T[2:]
+    n1, n2, p_sq, e_sum = np.square(terms, out=terms).sum(axis=0)
     delta = n1 - n2
     e_complement = 1.0 - delta * delta - comps[:, 0] ** 2 - comps[:, 1] ** 2
     norm_defect = 4.0 * (n1 * n2 - p_sq)

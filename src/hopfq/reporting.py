@@ -296,7 +296,7 @@ def rows_to_csv(rows):
 
 
 # States per step of sample_rows.  A step's largest array is the product's
-# one (states, 16, 16) term buffer at n = 4 (0.5 MB at 256 states), well
+# one (16, 16, states) term buffer at n = 4 (0.5 MB at 256 states), well
 # under the text of a 10**4-state table, so streaming the steps keeps peak
 # memory down.
 _SAMPLE_CHUNK = 256

@@ -336,12 +336,11 @@ def _random_amplitudes(n, seed, indices):
         bitgen.state = state
         normal(out=row)
     amps = z[:, 0] + 1j * z[:, 1]
-    # Squared real and imaginary parts as (N, 2**n, 2), summed over the
-    # amplitude axis: a reduction over a non-last axis, which adds each row
-    # in the same order whatever N is (see cdnum._mul).
-    parts = amps.view(np.float64).reshape(len(amps), m, 2)
-    sq = (parts * parts).sum(axis=-2)
-    return amps / np.sqrt(sq[:, 0] + sq[:, 1])[:, None]
+    # Squared real and imaginary parts laid out C-contiguous as (2**n, 2, N)
+    # and summed over the leading amplitude axis, which adds each row in the
+    # same order whatever N is (see cdnum._mul).
+    sq = np.square(z.T, order="C").sum(axis=0)
+    return amps / np.sqrt(sq[0] + sq[1])[:, None]
 
 
 def random_state(n, seed, index=0):

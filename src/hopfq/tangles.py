@@ -54,7 +54,7 @@ def three_tangle(state):
 
 
 def two_tangles(state):
-    """Pairwise one-vs-rest tangles (tau_A, tau_B, tau_C) for 3 qubits."""
+    """The one-vs-rest tangle of each qubit, (tau_A, tau_B, tau_C), for 3 qubits."""
     if state.n != 3:
         raise ShapeError("two_tangles is defined for 3 qubits")
     return tuple(_tau_first(state.amps[_FRONT[3]]).tolist())
@@ -67,14 +67,15 @@ def _tau_first(amps):
     """
     rows, half = len(amps), amps.shape[-1] // 2
     parts = np.ascontiguousarray(amps).view(np.float64).reshape(rows, 2, half, 2)
-    # c[:, j] = (Re a_j, Im a_j, Re b_j, Im b_j); the sums of c c^T over the
-    # slot axis j, not the last axis, do not depend on N (see cdnum._mul).
-    c = parts.transpose(0, 2, 1, 3).reshape(rows, half, 4)
-    g = (c[:, :, :, None] * c[:, :, None, :]).sum(axis=1)
-    aa = g[:, 0, 0] + g[:, 1, 1]
-    bb = g[:, 2, 2] + g[:, 3, 3]
-    ab_re = g[:, 0, 2] + g[:, 1, 3]
-    ab_im = g[:, 0, 3] - g[:, 1, 2]
+    # c[j, :, n] = (Re a_j, Im a_j, Re b_j, Im b_j) of row n, C-contiguous;
+    # the sums of c c^T over the leading slot axis j do not depend on N
+    # (see cdnum._mul).
+    c = np.ascontiguousarray(parts.transpose(2, 1, 3, 0)).reshape(half, 4, rows)
+    g = (c[:, :, None] * c[:, None]).sum(axis=0)
+    aa = g[0, 0] + g[1, 1]
+    bb = g[2, 2] + g[3, 3]
+    ab_re = g[0, 2] + g[1, 3]
+    ab_im = g[0, 3] - g[1, 2]
     return 4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))
 
 

@@ -366,6 +366,16 @@ def test_basis_product_table_matches_multiplication():
             assert abs(prod.coeffs[idx] - sign) < 1e-15
 
 
+@pytest.mark.parametrize("level", [-1, 5, True, 1.0, None, "2"])
+@pytest.mark.parametrize("table", [basis_product_table, find_basis_zero_divisors])
+def test_tables_check_the_level_first(table, level):
+    # -1 once recursed without end or shifted by a negative count, 5 built
+    # a table, and True and 1.0 passed as level 1, from the cache too.
+    table(1)
+    with pytest.raises(ValueError, match=r"level must be an integer in 0\.\.4"):
+        table(level)
+
+
 def test_shipped_table_matches_computed():
     # the sign convention ships as a data file; it must agree with the code
     text = (

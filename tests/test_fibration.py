@@ -17,6 +17,7 @@ from hopfq.cdnum import (
 )
 from hopfq.fibration import (
     BaseCoordinates,
+    _base_coordinates,
     _quotient_blocks_2,
     _quotient_blocks_3,
     _quotient_blocks_4,
@@ -39,7 +40,7 @@ from hopfq.states import (
     random_state,
     w_state,
 )
-from hopfq.tangles import concurrence, partial_trace_to_single, tau_one_rest
+from hopfq.tangles import _tau_first, concurrence, partial_trace_to_single, tau_one_rest
 from test_tangles import _apply_local, _haar_unitary
 
 
@@ -469,3 +470,50 @@ def test_tau_matches_measure_front_qubit():
     for n in (2, 3, 4):
         s = random_state(n, seed=73, index=n)
         assert abs(tau_one_rest(s, 0) - e_measure(s)[0]) < 1e-12
+
+
+def _mixed_amplitudes(rng, rows, n):
+    # Real and imaginary parts as in test_cdnum's _mixed_floats: signed
+    # zeros, subnormals and wide magnitudes, here none so large that a
+    # fourth power (n1*n2, aa*bb) overflows.
+    shape = (rows, 1 << n, 2)
+    special = rng.choice([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0], shape)
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-60, 60, shape)
+    return np.where(rng.random(shape) < 0.3, special, wide).view(np.complex128)[..., 0]
+
+
+def _sequential_sum(terms):
+    # Left to right, never pairwise: each partial sum rounds in turn.
+    return np.add.accumulate(terms)[-1]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 17, 256])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batch_kernels_sum_each_row_alone_in_slot_order(n, rows):
+    # Every row of _base_coordinates and _tau_first is bit for bit that row
+    # computed alone, and its sums add their terms in slot order, the order
+    # the pinned sample digests were made with.
+    rng = np.random.default_rng(10 * n + rows)
+    amps = _mixed_amplitudes(rng, rows, n)
+    bc, tau = _base_coordinates(amps), _tau_first(amps)
+    half = 1 << (n - 1)
+    for row in range(rows):
+        one = amps[row:row + 1]
+        alone = _base_coordinates(one)
+        for field in ("delta", "comps", "e_complement", "e_sum", "norm_defect"):
+            assert getattr(alone, field)[0].tobytes() == getattr(bc, field)[row].tobytes()
+        assert _tau_first(one).tobytes() == tau[row:row + 1].tobytes()
+
+        u1, u2 = (u[0] for u in _encode_pairs(one))
+        p = _mul(u2, _conj_coeffs(u1))
+        n1, n2, p_sq = (_sequential_sum(v * v) for v in (u1, u2, p))
+        assert (n1 - n2).tobytes() == bc.delta[row].tobytes()
+        assert (4.0 * (n1 * n2 - p_sq)).tobytes() == bc.norm_defect[row].tobytes()
+        assert _sequential_sum(bc.comps[row, 2:] ** 2).tobytes() == bc.e_sum[row].tobytes()
+
+        a, b = amps[row, :half], amps[row, half:]
+        c = (a.real, a.imag, b.real, b.imag)
+        g = {(r, s): _sequential_sum(c[r] * c[s]) for r in range(4) for s in range(r, 4)}
+        aa, bb = g[0, 0] + g[1, 1], g[2, 2] + g[3, 3]
+        ab_re, ab_im = g[0, 2] + g[1, 3], g[0, 3] - g[1, 2]
+        assert (4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))).tobytes() == tau[row].tobytes()
