@@ -50,6 +50,14 @@ def _check_level(level, lowest=0):
         raise ValueError(f"level must be an integer in {lowest}..{MAX_LEVEL}, got {level!r}")
 
 
+def _pow2_scaled(values):
+    # Float or complex values over the power of two of their largest float
+    # part, and its exponent: exact, and no square of a part can overflow.
+    parts = values.view(np.float64)
+    exp = np.frexp(np.max(np.abs(parts)))[1]
+    return np.ldexp(parts, -exp).view(values.dtype), exp
+
+
 def _raising():
     # A result past the float range raises FloatingPointError, not a warning.
     return np.errstate(over="raise", invalid="raise")
@@ -151,12 +159,13 @@ def from_complex_pairs(level, values):
     v = np.asarray(values, dtype=np.complex128)
     if v.shape != (1 << (level - 1),):
         raise ValueError(f"level {level} needs {1 << (level - 1)} complex values")
-    return CDElement(level, np.column_stack([v.real, v.imag]).ravel())
+    return CDElement(level, np.ascontiguousarray(v).view(np.float64))
 
 
 def complex_pairs(x):
     """Inverse of from_complex_pairs: coefficients as 2**(level-1) complex values."""
-    return x.coeffs[0::2] + 1j * x.coeffs[1::2]
+    _check_level(x.level, lowest=1)
+    return x.coeffs.view(np.complex128).copy()
 
 
 def _check_levels(x, y):
@@ -214,19 +223,11 @@ def _sign_rows(level):
 
 
 @functools.lru_cache(maxsize=None)
-def _sign_table(level):
-    """``_sign_rows(level)`` as a read-only int8 array S[a, b], for the kernels."""
-    table = np.array(_sign_rows(level), np.int8)
-    table.setflags(write=False)
-    return table
-
-
-@functools.lru_cache(maxsize=None)
 def _xor_terms(level):
     # Term (a, k) of product coefficient k is S[a, a^k] * x[a] * y[a^k].
     a, k = np.indices((1 << level, 1 << level))
     gather = a ^ k
-    signs = _sign_table(level)[a, gather]
+    signs = np.array(_sign_rows(level), np.int8)[a, gather]
     gather.setflags(write=False)
     signs.setflags(write=False)
     return gather, signs
@@ -241,29 +242,25 @@ def _mul(x, y):
     gathered from y into one buffer and multiplied in place, so an x with
     more rows than y, or of another dtype, raises instead of being cast.
 
-    The terms are laid out C-contiguous as (a, k, N) and summed over a, the
-    leading axis, which is also outermost in memory: numpy adds one (k, N)
-    slice after another, so every row's terms are added in the same order
-    whatever N is, and a row's product is bit for bit the same alone or in
-    a batch.  A reduction over the contiguous last axis, or over a
-    transposed view, may sum pairwise and is not.  The int8 signs take the
-    operands' dtype: float arrays give float products, object arrays of
-    Fractions exact ones.  A sign is +-1, so applying it last gives the bits
-    of applying it first.
+    Every form runs one path: a 1-D y is one row, N = 1.  The terms are laid
+    out C-contiguous as (a, k, N) and summed over a, the leading axis, which
+    is also outermost in memory: numpy adds one (k, N) slice after another,
+    so every row's terms are added in the same order whatever N is, and a
+    row's product is bit for bit the same alone or in a batch.  A reduction
+    over the contiguous last axis, or over a transposed view, may sum
+    pairwise and is not.  The int8 signs take the operands' dtype: float
+    arrays give float products, object arrays of Fractions exact ones.  A
+    sign is +-1, so applying it last gives the bits of applying it first.
     """
     if x.dtype != y.dtype:
         raise TypeError(f"operands must share a dtype, got {x.dtype} and {y.dtype}")
     gather, signs = _xor_terms(y.shape[-1].bit_length() - 1)
-    terms = y.T.take(gather, axis=0)
-    if y.ndim == 2:
-        # x's coefficients as contiguous (a, 1, N) rows: unit-stride reads.
-        x = np.ascontiguousarray(x.T).reshape(len(gather), 1, -1)
-        signs = signs[..., None]
-    else:
-        x = x[:, None]
-    terms *= x
-    terms *= signs
-    return terms.sum(axis=0).T
+    m = len(gather)
+    terms = y.T.take(gather, axis=0).reshape(m, m, -1)
+    # x's coefficients as contiguous (a, 1, N) rows: unit-stride reads.
+    terms *= np.ascontiguousarray(x.T).reshape(m, 1, -1)
+    terms *= signs[..., None]
+    return terms.sum(axis=0).T.reshape(y.shape)
 
 
 def cd_mul(x, y):
@@ -292,10 +289,7 @@ def cd_inverse(x):
     """
     if x.is_zero():
         raise SingularElementError("cannot invert an element of zero norm")
-    # Scaled by the power of two of the largest coefficient, as make_state
-    # does: exact, so <y, y> cannot overflow and in-range inverses keep every bit.
-    exp = np.frexp(np.max(np.abs(x.coeffs)))[1]
-    y = np.ldexp(x.coeffs, -exp)
+    y, exp = _pow2_scaled(x.coeffs)
     return CDElement(x.level, np.ldexp(_conj_coeffs(y) / np.dot(y, y), -exp))
 
 

@@ -25,7 +25,7 @@ from .cdnum import (
     CDElement,
     _conj_coeffs,
     _mul,
-    _sign_table,
+    _xor_terms,
     cd_conj,
     cd_mul,
     from_complex_pairs,
@@ -174,14 +174,15 @@ def _on_units(level, blocks):
 
     Right multiplication by a basis unit i_b is a signed permutation:
     i_a * i_b = S[a, b] * i_(a XOR b), so coefficient a of x_k lands at
-    a XOR b with the sign in column b of the sign table.  No block is longer
-    than the step, so the blocks' slots stay apart.
+    a XOR b with the sign S[a, b], which _mul's gathered signs hold at
+    [a, a XOR b].  No block is longer than the step, so the blocks' slots
+    stay apart.
     """
-    signs = _sign_table(level)
+    signs = _xor_terms(level)[1]
     out = np.zeros(1 << level)
     for block, b in zip(blocks, range(0, 1 << level, (1 << level) // len(blocks))):
         a = np.arange(len(block))
-        out[a ^ b] = signs[a, b] * np.asarray(block, dtype=np.float64)
+        out[a ^ b] = signs[a, a ^ b] * np.asarray(block, dtype=np.float64)
     return CDElement(level, out)
 
 

@@ -10,10 +10,11 @@ results for every qubit count.
 """
 
 import json
+import os
 
 import numpy as np
 
-from .cdnum import CDElement, _is_int
+from .cdnum import CDElement, _is_int, _pow2_scaled
 
 MAX_QUBITS = 4
 
@@ -138,11 +139,9 @@ def make_state(n, amps, normalize=False):
     """
     if not normalize:
         return QubitState(n, amps)
-    # Divide by the power of two of the largest real or imaginary part first:
-    # exact, so the norm neither overflows nor underflows, and for inputs whose
-    # norm is in range arr / norm(arr) keeps every bit.
-    parts = _amplitude_vector(n, amps).view(np.float64)
-    unit = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(np.complex128)
+    # Scaled by the power of two of the largest real or imaginary part first,
+    # so for inputs whose norm is in range unit / norm keeps every bit.
+    unit = _pow2_scaled(_amplitude_vector(n, amps))[0]
     norm = float(np.linalg.norm(unit))
     if norm == 0.0:
         raise DegenerateStateError("amplitude vector is zero")
@@ -384,10 +383,12 @@ def w_state(n):
 
 
 def product_state(factors):
-    """Tensor product of per-qubit amplitude pairs, most significant first."""
+    """Tensor product of per-qubit amplitude pairs, most significant first.
+    Each factor is checked as a one-qubit vector and scaled as make_state
+    scales, so the product stays in the float range."""
     amps = np.array([1.0 + 0j])
     for f in factors:
-        amps = np.kron(amps, np.asarray(f, dtype=np.complex128))
+        amps = np.kron(amps, _pow2_scaled(_amplitude_vector(1, f))[0])
     return make_state(len(factors), amps, normalize=True)
 
 
@@ -397,7 +398,7 @@ def state_to_json(state):
     Floats are written with repr precision (up to 17 significant digits), so
     loading the text reproduces the amplitudes bit for bit.
     """
-    pairs = [[float(a.real), float(a.imag)] for a in state.amps]
+    pairs = state.amps.view(np.float64).reshape(-1, 2).tolist()
     return json.dumps({"n": state.n, "amplitudes": pairs})
 
 
@@ -422,16 +423,18 @@ def state_from_json(text, normalize=False):
     return make_state(obj["n"], amps, normalize=normalize)
 
 
+# Paths only: open() reads an int, True included, as a descriptor to close.
+# A NUL byte in the path, or text that is not UTF-8, raises a ValueError.
 def read_state_file(path, normalize=False):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(os.fspath(path), "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise StateError(f"cannot read state file {path}: {exc}") from None
     return state_from_json(text, normalize=normalize)
 
 
 def write_state_file(state, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
         fh.write(state_to_json(state))
         fh.write("\n")

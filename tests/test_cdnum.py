@@ -407,6 +407,26 @@ def test_complex_pair_round_trip():
         assert x.coeffs[0] == vals[0].real and x.coeffs[1] == vals[0].imag
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_complex_pairs_invert_from_complex_pairs_bit_for_bit(level):
+    # Signed zeros in every real and imaginary slot: re + 1j * im turns a
+    # real part of -0.0 into +0.0, so the layout must be a plain view.
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-310])
+    rng = np.random.default_rng(level)
+    for _ in range(20):
+        vals = np.empty(1 << (level - 1), np.complex128)
+        vals.real, vals.imag = rng.choice(parts, (2, len(vals)))
+        x = from_complex_pairs(level, vals)
+        assert x.coeffs.tobytes() == vals.view(np.float64).tobytes()
+        assert complex_pairs(x).tobytes() == vals.tobytes()
+    assert complex_pairs(from_complex_pairs(2, [complex(-0.0, 1.0), 0j]))[0].real.hex() == "-0x0.0p+0"
+
+
+def test_complex_pairs_needs_a_level_of_at_least_one():
+    with pytest.raises(ValueError, match=r"level must be an integer in 1\.\.4"):
+        complex_pairs(one(0))
+
+
 def test_element_validation():
     with pytest.raises(ValueError):
         CDElement(5, np.zeros(32))

@@ -1,6 +1,12 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfq.cdnum import basis, complex_pairs, one, zero
@@ -30,6 +36,8 @@ from hopfq.states import (
     w_state,
     write_state_file,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _dist(x, y):
@@ -388,6 +396,40 @@ def test_product_state():
     assert s.amps[0] != 0 and s.amps[1] != 0 and s.amps[2] == 0
 
 
+def test_product_state_checks_each_factor():
+    # Each factor is an amplitude vector: np.asarray reads True or "1" as 1,
+    # and the product of unscaled 1e200 or 1e-200 factors leaves the floats.
+    for factors in ([[True, 0]], [["1", 0]], [[1.0, 0], (np.bool_(True), 0)]):
+        with pytest.raises(StateError, match="booleans, strings or bytes"):
+            product_state(factors)
+    with pytest.raises(StateError, match="finite"):
+        product_state([[np.inf, 0]])
+    with pytest.raises(ShapeError):
+        product_state([[1, 0, 0]])
+    with pytest.raises(DegenerateStateError):
+        product_state([[1, 0], [0, 0]])
+    # Factors whose product leaves the float range still give their state.
+    big = product_state([[1e200, 0], [1e200, 1]])
+    assert np.allclose(big.amps, [1, 1e-200, 0, 0], rtol=1e-15, atol=0)
+    tiny = product_state([[1e-200, 0], [1e-200, 0]])
+    assert tiny.amps.tobytes() == basis_state(2, "00").amps.tobytes()
+
+
+_factor_parts = st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False).filter(
+    lambda x: x == 0.0 or abs(x) > 1e-30
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_factor_parts, min_size=4, max_size=4), min_size=1, max_size=4))
+def test_product_state_is_the_normalized_kron_of_in_range_factors(parts):
+    factors = [np.array(f).view(np.complex128) for f in parts]
+    assume(all(np.any(f) for f in factors))
+    kron = functools.reduce(np.kron, factors, np.ones(1, np.complex128))
+    expected = make_state(len(factors), kron, normalize=True)
+    assert product_state(factors).amps.tobytes() == expected.amps.tobytes()
+
+
 def test_json_round_trip_bit_exact():
     for n in (1, 2, 3, 4):
         s = random_state(n, seed=77, index=n)
@@ -402,6 +444,39 @@ def test_state_file_round_trip(tmp_path):
     write_state_file(s, path)
     back = read_state_file(path)
     assert np.array_equal(back.amps, s.amps)
+
+
+def test_state_files_are_paths_not_descriptors(tmp_path):
+    # open() reads an int as a file descriptor and closes it when done.
+    path = tmp_path / "state.json"
+    write_state_file(bell_state(), path)
+    fd = os.open(path, os.O_RDWR)
+    try:
+        with pytest.raises(StateError, match="cannot read state file"):
+            read_state_file(fd)
+        with pytest.raises(TypeError):
+            write_state_file(bell_state(), fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+    assert read_state_file(str(path)).amps.tobytes() == bell_state().amps.tobytes()
+    with pytest.raises(StateError, match="cannot read state file"):
+        read_state_file(f"{path}\0")
+
+
+def test_a_bool_path_leaves_stdout_open():
+    # True is fd 1: open(True) would read or write the caller's stdout and close it.
+    code = (
+        "from hopfq.states import StateError, bell_state, read_state_file, write_state_file\n"
+        "try:\n    read_state_file(True)\nexcept StateError:\n    print('read')\n"
+        "try:\n    write_state_file(bell_state(), True)\nexcept TypeError:\n    print('write')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "read\nwrite\n", "")
 
 
 def test_json_error_cases():
