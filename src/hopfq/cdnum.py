@@ -45,6 +45,21 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_pun(values):
+    # A bool, str or bytes value or array, or a list or tuple with such an
+    # entry: numpy reads True, "1" and b"1" as 1, but none is a number.
+    # np.bool_ is read per call, so importing this module loads no numpy.
+    puns = (bool, np.bool_, str, bytes)
+    if isinstance(values, np.ndarray) and values.dtype.kind == "O":
+        values = values.ravel().tolist()
+    elif not isinstance(values, (list, tuple)):
+        values = [values]
+    return any(
+        isinstance(x, puns) or (isinstance(x, np.ndarray) and x.dtype.kind in "bSU")
+        for x in values
+    )
+
+
 def _check_level(level, lowest=0):
     if not (_is_int(level) and lowest <= level <= MAX_LEVEL):
         raise ValueError(f"level must be an integer in {lowest}..{MAX_LEVEL}, got {level!r}")
@@ -74,7 +89,12 @@ class CDElement:
 
     def __init__(self, level, coeffs):
         _check_level(level)
-        arr = np.asarray(coeffs, dtype=np.float64).copy()
+        if _is_pun(coeffs):
+            raise ValueError("coefficients must be numbers, not booleans, strings or bytes")
+        arr = np.array(coeffs)
+        if arr.dtype.kind == "c":  # a float cast would drop the imaginary parts
+            raise ValueError("coefficients must be real, got complex values")
+        arr = arr.astype(np.float64, copy=False)
         if arr.shape != (1 << level,):
             raise ValueError(
                 f"level {level} needs {1 << level} coefficients, got shape {arr.shape}"
@@ -156,6 +176,8 @@ def from_complex_pairs(level, values):
     (c0, c1) is the quaternion c0 + c1*i_2.
     """
     _check_level(level, lowest=1)
+    if _is_pun(values):
+        raise ValueError("values must be numbers, not booleans, strings or bytes")
     v = np.asarray(values, dtype=np.complex128)
     if v.shape != (1 << (level - 1),):
         raise ValueError(f"level {level} needs {1 << (level - 1)} complex values")
@@ -240,7 +262,8 @@ def _mul(x, y):
     result has y's shape.  x has that shape too, or is one element,
     (2**level,) or (1, 2**level), against the N rows of y.  The terms are
     gathered from y into one buffer and multiplied in place, so an x with
-    more rows than y, or of another dtype, raises instead of being cast.
+    more rows than y, or of another dtype, raises instead of being cast; an
+    x of another width raises before the gather.
 
     Every form runs one path: a 1-D y is one row, N = 1.  The terms are laid
     out C-contiguous as (a, k, N) and summed over a, the leading axis, which
@@ -254,6 +277,8 @@ def _mul(x, y):
     """
     if x.dtype != y.dtype:
         raise TypeError(f"operands must share a dtype, got {x.dtype} and {y.dtype}")
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"operands must share a width, got {x.shape} and {y.shape}")
     gather, signs = _xor_terms(y.shape[-1].bit_length() - 1)
     m = len(gather)
     terms = y.T.take(gather, axis=0).reshape(m, m, -1)

@@ -21,15 +21,7 @@ e_complement is the headline E in reports.
 
 import numpy as np
 
-from .cdnum import (
-    CDElement,
-    _conj_coeffs,
-    _mul,
-    _xor_terms,
-    cd_conj,
-    cd_mul,
-    from_complex_pairs,
-)
+from .cdnum import CDElement, _conj_coeffs, _mul, cd_conj, cd_mul, from_complex_pairs
 from .states import ShapeError, _encode_pairs
 
 E_SNAP_WINDOW = 1e-9
@@ -172,18 +164,18 @@ def _on_units(level, blocks):
     """The element sum_k x_k * i_(k*step), step = 2**level // len(blocks),
     where block k holds the leading coefficients of x_k.
 
-    Right multiplication by a basis unit i_b is a signed permutation:
-    i_a * i_b = S[a, b] * i_(a XOR b), so coefficient a of x_k lands at
-    a XOR b with the sign S[a, b], which _mul's gathered signs hold at
-    [a, a XOR b].  No block is longer than the step, so the blocks' slots
-    stay apart.
+    Row k of x holds x_k and row k of units holds i_(k*step); _mul takes the
+    row products and the rows are summed.  No block is longer than the
+    step, so each coefficient of the sum is one product plus zeros: exact,
+    but for the sign of a zero.
     """
-    signs = _xor_terms(level)[1]
-    out = np.zeros(1 << level)
-    for block, b in zip(blocks, range(0, 1 << level, (1 << level) // len(blocks))):
-        a = np.arange(len(block))
-        out[a ^ b] = signs[a, a ^ b] * np.asarray(block, dtype=np.float64)
-    return CDElement(level, out)
+    x = np.zeros((len(blocks), 1 << level))
+    units = np.zeros_like(x)
+    step = (1 << level) // len(blocks)
+    for k, block in enumerate(blocks):
+        x[k, : len(block)] = block
+        units[k, k * step] = 1.0
+    return CDElement(level, _mul(x, units).sum(axis=0))
 
 
 def _ball(bc):

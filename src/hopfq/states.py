@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .cdnum import CDElement, _is_int, _pow2_scaled
+from .cdnum import CDElement, _is_int, _is_pun, _pow2_scaled
 
 MAX_QUBITS = 4
 
@@ -87,28 +87,6 @@ class QubitState:
 
     def __repr__(self):
         return f"QubitState(n={self.n})"
-
-
-# Values numpy converts to complex numbers that are not amplitudes: True is 1
-# and "1" or b"1" parse as 1.
-_PUNS = (bool, np.bool_, str, bytes)
-
-
-def _is_pun(amps):
-    # A boolean, string or bytes array, or a list or tuple with such an entry
-    # (numpy would read [True, 0] as integers).
-    if isinstance(amps, _PUNS):
-        return True
-    if isinstance(amps, np.ndarray):
-        if amps.dtype.kind != "O":
-            return amps.dtype.kind in "bSU"
-        amps = amps.ravel().tolist()
-    elif not isinstance(amps, (list, tuple)):
-        return False
-    return any(
-        isinstance(x, _PUNS) or (isinstance(x, np.ndarray) and x.dtype.kind in "bSU")
-        for x in amps
-    )
 
 
 def _amplitude_vector(n, amps):
@@ -413,7 +391,7 @@ def state_from_json(text, normalize=False):
     pairs = obj["amplitudes"]
     try:
         # complex() takes a bool as 0 or 1; JSON true/false is no amplitude.
-        if any(isinstance(part, bool) for pair in pairs for part in pair):
+        if any(_is_pun(pair) for pair in pairs):
             raise TypeError
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (TypeError, ValueError):

@@ -456,6 +456,15 @@ def test_element_validation():
     assert basis(np.int64(2), np.int8(3)).coeffs.tolist() == [0, 0, 0, 1]
     with pytest.raises(ValueError):
         from_complex_pairs(2, [1, 2, 3])
+    # Puns and complex values are no coefficients: numpy read [True, 0] and
+    # [1, "2"] as numbers, and cast 1+2j to 1 with a ComplexWarning.
+    for coeffs in ([True, 0], [1, "2"], np.array([b"1", b"0"]), np.array([True, False]),
+                   np.array([1 + 2j, 0])):
+        with pytest.raises(ValueError):
+            CDElement(1, coeffs)
+    for values in ([True], ["1"]):
+        with pytest.raises(ValueError):
+            from_complex_pairs(1, values)
     # The level is checked before it sizes an array: zero(1.0) once raised a
     # TypeError from 1 << 1.0, and from_complex_pairs(0, []) a negative shift.
     for level in (1.0, 2.5, -1, 5, "2", None):
@@ -595,6 +604,10 @@ def test_kernel_rejects_unsupported_operands():
         _mul(x, x[:1])
     with pytest.raises(ValueError):
         _mul(x, x[0])
+    # An x of another width once reshaped to (16, 1, 1) and gave wrong numbers.
+    for y in (x[0], x[:1]):
+        with pytest.raises(ValueError):
+            _mul(np.ones((2, 8)), y)
     fractions = np.array([Fraction(k) for k in range(16)], dtype=object)
     for a, b in ((x[0], fractions), (fractions, x[0]), (x, x.astype(np.float32)),
                  (x.astype(np.float32), x)):

@@ -19,6 +19,7 @@ from test_braket import _FUZZ_ALPHABET, _random_expression
 import hopfq
 import hopfq.cli as cli
 from hopfq.braket import ParseError, parse_state
+from hopfq.cdnum import CDElement, from_complex_pairs
 from hopfq.reporting import PUBLISHED_STATES
 from hopfq.states import (
     StateError,
@@ -373,10 +374,12 @@ def test_main_ends_in_a_documented_exit(tmp_path_factory, data):
         assert err.getvalue().startswith("error: "), argv
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_entry_points_raise_only_typed_errors(data):
-    entry = data.draw(st.sampled_from(("parse_state", "state_from_json", "make_state")))
+    entry = data.draw(st.sampled_from(
+        ("parse_state", "state_from_json", "make_state", "CDElement", "from_complex_pairs")
+    ))
     normalize = data.draw(st.booleans())
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -385,11 +388,21 @@ def test_entry_points_raise_only_typed_errors(data):
                 parse_state(data.draw(_STATE_TEXTS | st.text()), normalize=normalize)
             elif entry == "state_from_json":
                 state_from_json(data.draw(_STATE_DOCS), normalize=normalize)
-            else:
+            elif entry == "make_state":
                 amps = data.draw(_AMPLITUDES)
                 make_state(data.draw(_QUBIT_COUNTS), amps, normalize=normalize)
                 # A boolean, string or bytes amplitude never makes a state.
                 assert not _has_pun(amps), amps
+            else:
+                # Elements take the same pun rule; their errors are ValueError,
+                # TypeError and ArithmeticError.
+                coeffs = data.draw(_AMPLITUDES)
+                build = CDElement if entry == "CDElement" else from_complex_pairs
+                try:
+                    build(data.draw(_QUBIT_COUNTS), coeffs)
+                except (ValueError, TypeError, ArithmeticError):
+                    return
+                assert not _has_pun(coeffs), coeffs
         except (ParseError, StateError):
             pass
 
