@@ -27,6 +27,7 @@ import re
 
 import numpy as np
 
+from .cdnum import _is_int, _raising
 from .states import MAX_QUBITS, make_state
 
 _BLANKS = " \t\r\n"
@@ -135,7 +136,7 @@ class _Parser:
     def parse(self):
         # Ket arithmetic that leaves the float range raises FloatingPointError,
         # which apply turns into a ParseError at the operator.
-        with np.errstate(over="raise", invalid="raise"):
+        with _raising():
             value = self.expression()
         tok = self.tokens[self.pos]
         if tok:
@@ -281,8 +282,11 @@ def _format_coeff(z, digits):
 
 
 def format_state(state, digits=17):
-    """Render a state as a sum of coefficient|bits> terms (17 significant
-    digits round-trip double precision exactly)."""
+    """Render a state as a sum of coefficient|bits> terms with ``digits``
+    significant digits (17 round-trip double precision exactly).  ``digits``
+    is an int from 1 to 17, not a bool; anything else raises ValueError."""
+    if not (_is_int(digits) and 1 <= digits <= 17):
+        raise ValueError(f"digits must be an integer in 1..17, got {digits!r}")
     n = state.n
     parts = []
     for k, amp in enumerate(state.amps):

@@ -68,9 +68,6 @@ def cmd_sample(args):
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
         return EXIT_STATE
-    if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return EXIT_STATE
     return _emit(reporting.sample_rows(args.qubits, args.count, args.seed), args.out)
 
 

@@ -21,7 +21,7 @@ e_complement is the headline E in reports.
 
 import numpy as np
 
-from .cdnum import CDElement, _conj_coeffs, _mul, cd_conj, cd_mul, from_complex_pairs
+from .cdnum import CDElement, _conj_coeffs, _mul, _raising
 from .states import ShapeError, _encode_pairs
 
 E_SNAP_WINDOW = 1e-9
@@ -129,14 +129,16 @@ def _quotient_blocks_3(amps):
 
 
 def _quotient_blocks_4(amps):
-    q = [from_complex_pairs(2, amps[2 * m : 2 * m + 2]) for m in range(8)]
-    q1, q2, q3, q4, q5, q6, q7, q8 = q
-    cj = cd_conj
-    b1 = cd_mul(q1, cj(q5)) + cd_mul(cj(q6), q2) + cd_mul(cj(q7), q3) + cd_mul(q4, cj(q8))
-    b2 = cd_mul(q2, q5) - cd_mul(q6, q1) + cj(cd_mul(q4, q7) - cd_mul(q8, q3))
-    b3 = cd_mul(q3, q5) - cd_mul(q7, q1) + cj(cd_mul(q3, q8) - cd_mul(q6, q4))
-    b4 = cd_mul(q2, q7) - cd_mul(q6, q3) + cj(cd_mul(q8, q1) - cd_mul(q4, q5))
-    return [b.coeffs for b in (b1, b2, b3, b4)]
+    # q_m is the quaternion of amplitudes (2m - 2, 2m - 1): row m - 1 of the
+    # coefficients, so the blocks are the published products on those rows.
+    q1, q2, q3, q4, q5, q6, q7, q8 = amps.view(np.float64).reshape(8, 4)
+    m, cj = _mul, _conj_coeffs
+    with _raising():
+        b1 = m(q1, cj(q5)) + m(cj(q6), q2) + m(cj(q7), q3) + m(q4, cj(q8))
+        b2 = m(q2, q5) - m(q6, q1) + cj(m(q4, q7) - m(q8, q3))
+        b3 = m(q3, q5) - m(q7, q1) + cj(m(q3, q8) - m(q6, q4))
+        b4 = m(q2, q7) - m(q6, q3) + cj(m(q8, q1) - m(q4, q5))
+    return [b1, b2, b3, b4]
 
 
 _QUOTIENT_BLOCKS = {2: _quotient_blocks_2, 3: _quotient_blocks_3, 4: _quotient_blocks_4}

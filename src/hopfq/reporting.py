@@ -304,10 +304,15 @@ _SAMPLE_CHUNK = 256
 
 def sample_rows(n, count, seed):
     """The text of sample_table as a stream: the header line, then the rows
-    of each chunk of states as one string; the arguments are checked first."""
+    of each chunk of states as one string.  The arguments are checked on the
+    call, before the stream is returned."""
     _check_qubit_count(n)
     _check_natural("count", count)
     _check_natural("seed", seed)
+    return _sample_chunks(n, count, seed)
+
+
+def _sample_chunks(n, count, seed):
     yield "index,e_complement,e_sum,norm_defect,tau_a" + (",ball_radius" if n == 4 else "") + "\n"
     for start in range(0, count, _SAMPLE_CHUNK):
         indices = range(start, min(start + _SAMPLE_CHUNK, count))

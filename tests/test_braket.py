@@ -214,6 +214,15 @@ def test_format_simple():
     assert text == "0.707|00> + 0.707|11>"
 
 
+def test_format_checks_digits():
+    # "2" once printed two digits through the format spec, and True or -1
+    # failed inside it.
+    for digits in ("2", True, 2.0, -1, 0, 18):
+        with pytest.raises(ValueError, match="digits must be an integer in 1..17"):
+            format_state(bell_state(), digits)
+    assert format_state(bell_state(), np.int64(2)) == "0.71|00> + 0.71|11>"
+
+
 def test_format_signs_and_zeros():
     s = make_state(2, np.array([0.5, -0.5, 0.0, 0.5 + 0.5j]), normalize=True)
     text = format_state(s, digits=3)

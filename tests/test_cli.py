@@ -18,7 +18,7 @@ from test_braket import _FUZZ_ALPHABET, _random_expression
 
 import hopfq
 import hopfq.cli as cli
-from hopfq.braket import ParseError, parse_state
+from hopfq.braket import ParseError, format_state, parse_state
 from hopfq.cdnum import CDElement, from_complex_pairs
 from hopfq.reporting import PUBLISHED_STATES
 from hopfq.states import (
@@ -279,13 +279,19 @@ def test_sample_deterministic(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == first
 
 
-def test_sample_bad_arguments(capsys):
+def test_sample_bad_arguments(capsys, tmp_path):
     code, _, err = _run(capsys, "sample", "--qubits", "2", "--count", "0")
     assert code == 2 and "count" in err
     code, _, err = _run(
         capsys, "sample", "--qubits", "2", "--count", "1", "--seed", "-3"
     )
     assert code == 2 and "seed" in err
+    # The library's seed check runs before --out is opened.
+    target = tmp_path / "x.csv"
+    code, _, err = _run(
+        capsys, "sample", "--qubits", "2", "--count", "1", "--seed", "-3", "--out", str(target)
+    )
+    assert code == 2 and "seed" in err and not target.exists()
 
 
 def test_sample_unwritable_path(capsys, tmp_path):
@@ -298,8 +304,8 @@ def test_sample_unwritable_path(capsys, tmp_path):
 
 
 # Inputs for the typed-errors properties: state text over the parser's fuzz
-# alphabet, state documents (JSON of any part type, raw text, deep nesting)
-# and make_state arguments.
+# alphabet, state documents (JSON of any part type, raw text, deep nesting),
+# make_state arguments and format_state digits.
 _STATE_TEXTS = st.text(st.sampled_from(_FUZZ_ALPHABET), max_size=30)
 _JSON_PARTS = (st.floats() | st.integers(-(10**400), 10**400) | st.booleans()
                | st.none() | st.text(max_size=3))
@@ -321,6 +327,7 @@ _AMPLITUDES = st.one_of(
     st.lists(_PUNS, min_size=1, max_size=17).map(np.array),
     st.text(max_size=4),
 )
+_DIGITS = st.integers(-2, 20) | st.sampled_from((True, False, 2.0, "2", None, b"2"))
 
 
 def _has_pun(amps):
@@ -374,11 +381,12 @@ def test_main_ends_in_a_documented_exit(tmp_path_factory, data):
         assert err.getvalue().startswith("error: "), argv
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(data=st.data())
 def test_entry_points_raise_only_typed_errors(data):
     entry = data.draw(st.sampled_from(
-        ("parse_state", "state_from_json", "make_state", "CDElement", "from_complex_pairs")
+        ("parse_state", "state_from_json", "make_state", "CDElement", "from_complex_pairs",
+         "format_state")
     ))
     normalize = data.draw(st.booleans())
     with warnings.catch_warnings():
@@ -393,6 +401,16 @@ def test_entry_points_raise_only_typed_errors(data):
                 make_state(data.draw(_QUBIT_COUNTS), amps, normalize=normalize)
                 # A boolean, string or bytes amplitude never makes a state.
                 assert not _has_pun(amps), amps
+            elif entry == "format_state":
+                # digits is an int from 1 to 17; anything else is a ValueError.
+                digits = data.draw(_DIGITS)
+                valid = type(digits) is int and 1 <= digits <= 17
+                try:
+                    format_state(ghz_state(2), digits)
+                except ValueError:
+                    assert not valid, digits
+                    return
+                assert valid, digits
             else:
                 # Elements take the same pun rule; their errors are ValueError,
                 # TypeError and ArithmeticError.

@@ -14,6 +14,7 @@ from hopfq.cdnum import (
     cd_conj,
     cd_mul,
     cd_norm_sq,
+    from_complex_pairs,
 )
 from hopfq.fibration import (
     BaseCoordinates,
@@ -395,6 +396,55 @@ def test_quotient_numerators_equal_the_product_form():
                 np.zeros(1 << n),
             )
             np.testing.assert_array_equal(hopf_quotient(s)[0].coeffs, want)
+
+
+def _element_quotient_4(amps):
+    # The published n = 4 blocks written with the element API, placed on
+    # 1, i4, i8, i12 and summed in block order.
+    q1, q2, q3, q4, q5, q6, q7, q8 = (
+        from_complex_pairs(2, amps[2 * m : 2 * m + 2]) for m in range(8)
+    )
+    cj = cd_conj
+    blocks = (
+        cd_mul(q1, cj(q5)) + cd_mul(cj(q6), q2) + cd_mul(cj(q7), q3) + cd_mul(q4, cj(q8)),
+        cd_mul(q2, q5) - cd_mul(q6, q1) + cj(cd_mul(q4, q7) - cd_mul(q8, q3)),
+        cd_mul(q3, q5) - cd_mul(q7, q1) + cj(cd_mul(q3, q8) - cd_mul(q6, q4)),
+        cd_mul(q2, q7) - cd_mul(q6, q3) + cj(cd_mul(q8, q1) - cd_mul(q4, q5)),
+    )
+    placed = [
+        cd_mul(CDElement(4, np.concatenate([b.coeffs, np.zeros(12)])), basis(4, 4 * k)).coeffs
+        for k, b in enumerate(blocks)
+    ]
+    return placed[0] + placed[1] + placed[2] + placed[3]
+
+
+def test_four_qubit_quotient_matches_the_element_formulas_bit_for_bit():
+    # Haar states, then sparse ones whose zero amplitudes carry both signs.
+    states = [random_state(4, seed=75, index=k) for k in range(300)]
+    rng = np.random.default_rng(76)
+    for _ in range(300):
+        parts = np.where(rng.random(32) < 0.2, rng.standard_normal(32), 0.0)
+        parts[rng.integers(32)] = 1.0
+        parts = np.copysign(parts, rng.standard_normal(32))
+        states.append(make_state(4, parts.view(np.complex128), normalize=True))
+    parts = np.array([s.amps for s in states[300:]]).view(np.float64)
+    assert np.signbit(parts[parts == 0.0]).any() and (~np.signbit(parts[parts == 0.0])).any()
+    for s in states:
+        want = _element_quotient_4(s.amps)
+        assert hopf_quotient(s)[0].coeffs.tobytes() == want.tobytes()
+
+
+def test_four_qubit_quotient_builds_one_element(monkeypatch):
+    built = []
+    init = CDElement.__init__
+
+    def counted(self, level, coeffs):
+        built.append(level)
+        init(self, level, coeffs)
+
+    monkeypatch.setattr(CDElement, "__init__", counted)
+    hopf_quotient(random_state(4, seed=77))
+    assert built == [4]
 
 
 def test_quotient_rejects_single_qubit():

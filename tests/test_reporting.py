@@ -235,17 +235,18 @@ def test_sample_table_columns():
 
 def test_sample_table_takes_int_arguments_only():
     # n = 5 and n = 0 once raised KeyError, and n = True ran as n = 1; the
-    # stream once yielded its header before a bad n or seed raised
+    # stream once yielded its header before a bad n or seed raised, and then
+    # checked them only at its first next(), after a caller had opened --out
     for n in (5, 0, True, 4.0):
         with pytest.raises(ShapeError):
             sample_table(n, 2, 1)
         with pytest.raises(ShapeError):
-            next(sample_rows(n, 0, 1))
-    for count, seed in ((2.0, 1), (-1, 1), (2, True), (2, 1.5), (2, -1)):
+            sample_rows(n, 0, 1)
+    for count, seed in ((2.0, 1), (-1, 1), (2, True), (2, 1.5), (2, -1), (-1, 0)):
         with pytest.raises(StateError, match="nonnegative integer"):
             sample_table(2, count, seed)
         with pytest.raises(StateError, match="nonnegative integer"):
-            next(sample_rows(2, count, seed))
+            sample_rows(2, count, seed)
     assert sample_table(2, np.int64(3), np.uint16(1)) == sample_table(2, 3, 1)
 
 
