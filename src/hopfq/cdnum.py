@@ -255,6 +255,18 @@ def _xor_terms(level):
     return gather, signs
 
 
+def _slot_sums(terms):
+    """Sums of terms, (slots, ...), over the leading slot axis: the one rule
+    of every per-state sum.  Copied C-contiguous if they are not, the slots
+    are outermost in memory and numpy adds one trailing slice after another,
+    so each column sums in slot order whatever the other axes hold, and a
+    state's sums are bit for bit the same alone or in a batch.  That needs
+    two or more values per slot: numpy may sum (slots,) or (slots, 1)
+    pairwise, as it may the contiguous last axis or a strided view.
+    """
+    return np.ascontiguousarray(terms).sum(axis=0)
+
+
 def _mul(x, y):
     """Products of same-dtype coefficient arrays with 2**level columns.
 
@@ -265,15 +277,11 @@ def _mul(x, y):
     more rows than y, or of another dtype, raises instead of being cast; an
     x of another width raises before the gather.
 
-    Every form runs one path: a 1-D y is one row, N = 1.  The terms are laid
-    out C-contiguous as (a, k, N) and summed over a, the leading axis, which
-    is also outermost in memory: numpy adds one (k, N) slice after another,
-    so every row's terms are added in the same order whatever N is, and a
-    row's product is bit for bit the same alone or in a batch.  A reduction
-    over the contiguous last axis, or over a transposed view, may sum
-    pairwise and is not.  The int8 signs take the operands' dtype: float
-    arrays give float products, object arrays of Fractions exact ones.  A
-    sign is +-1, so applying it last gives the bits of applying it first.
+    Every form runs one path: a 1-D y is one row, N = 1, and the terms,
+    laid out as (a, k, N), reduce over a through _slot_sums.  The int8 signs
+    take the operands' dtype: float arrays give float products, object
+    arrays of Fractions exact ones.  A sign is +-1, so applying it last
+    gives the bits of applying it first.
     """
     if x.dtype != y.dtype:
         raise TypeError(f"operands must share a dtype, got {x.dtype} and {y.dtype}")
@@ -285,7 +293,7 @@ def _mul(x, y):
     # x's coefficients as contiguous (a, 1, N) rows: unit-stride reads.
     terms *= np.ascontiguousarray(x.T).reshape(m, 1, -1)
     terms *= signs[..., None]
-    return terms.sum(axis=0).T.reshape(y.shape)
+    return _slot_sums(terms).T.reshape(y.shape)
 
 
 def cd_mul(x, y):

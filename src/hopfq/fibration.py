@@ -21,7 +21,7 @@ e_complement is the headline E in reports.
 
 import numpy as np
 
-from .cdnum import CDElement, _conj_coeffs, _mul, _raising
+from .cdnum import CDElement, _conj_coeffs, _mul, _raising, _slot_sums
 from .states import ShapeError, _encode_pairs
 
 E_SNAP_WINDOW = 1e-9
@@ -53,16 +53,11 @@ def _base_coordinates(amps):
     u1, u2 = _encode_pairs(amps)
     p = _mul(u2, _conj_coeffs(u1))
     comps = 2.0 * p
-    # u1, u2, p and the tail comps[2:] (its first two slots zero) laid out
-    # C-contiguous as (2**n, 4, N), squared, and summed over the leading
-    # coefficient axis, so each row's sums do not depend on N (see cdnum._mul).
-    terms = np.empty((p.shape[-1], 4, len(p)))
-    terms[:, 0] = u1.T
-    terms[:, 1] = u2.T
-    terms[:, 2] = p.T
-    terms[:2, 3] = 0.0
-    terms[2:, 3] = comps.T[2:]
-    n1, n2, p_sq, e_sum = np.square(terms, out=terms).sum(axis=0)
+    # u1, u2, p and the tail comps[2:] (its first two slots zero), squared and
+    # summed over the slots; np.stack(..., axis=1) is slower on one state.
+    terms = np.array([u1.T, u2.T, p.T, comps.T])
+    terms[3, :2] = 0.0
+    n1, n2, p_sq, e_sum = _slot_sums(np.square(terms, out=terms).swapaxes(0, 1))
     delta = n1 - n2
     e_complement = 1.0 - delta * delta - comps[:, 0] ** 2 - comps[:, 1] ** 2
     norm_defect = 4.0 * (n1 * n2 - p_sq)
@@ -167,7 +162,7 @@ def _on_units(level, blocks):
     where block k holds the leading coefficients of x_k.
 
     Row k of x holds x_k and row k of units holds i_(k*step); _mul takes the
-    row products and the rows are summed.  No block is longer than the
+    row products and _slot_sums adds them.  No block is longer than the
     step, so each coefficient of the sum is one product plus zeros: exact,
     but for the sign of a zero.
     """
@@ -177,7 +172,7 @@ def _on_units(level, blocks):
     for k, block in enumerate(blocks):
         x[k, : len(block)] = block
         units[k, k * step] = 1.0
-    return CDElement(level, _mul(x, units).sum(axis=0))
+    return CDElement(level, _slot_sums(_mul(x, units)))
 
 
 def _ball(bc):

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .cdnum import CDElement, _is_int, _is_pun, _pow2_scaled
+from .cdnum import CDElement, _is_int, _is_pun, _pow2_scaled, _slot_sums
 
 MAX_QUBITS = 4
 
@@ -313,10 +313,7 @@ def _random_amplitudes(n, seed, indices):
         bitgen.state = state
         normal(out=row)
     amps = z[:, 0] + 1j * z[:, 1]
-    # Squared real and imaginary parts laid out C-contiguous as (2**n, 2, N)
-    # and summed over the leading amplitude axis, which adds each row in the
-    # same order whatever N is (see cdnum._mul).
-    sq = np.square(z.T, order="C").sum(axis=0)
+    sq = _slot_sums(np.square(z.T))
     return amps / np.sqrt(sq[0] + sq[1])[:, None]
 
 

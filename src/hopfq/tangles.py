@@ -7,6 +7,7 @@ coordinates rather than reusing them.
 
 import numpy as np
 
+from .cdnum import _slot_sums
 from .states import _FRONT, ShapeError, bring_to_front
 
 SEP_TOL = 1e-9
@@ -67,11 +68,10 @@ def _tau_first(amps):
     """
     rows, half = len(amps), amps.shape[-1] // 2
     parts = np.ascontiguousarray(amps).view(np.float64).reshape(rows, 2, half, 2)
-    # c[j, :, n] = (Re a_j, Im a_j, Re b_j, Im b_j) of row n, C-contiguous;
-    # the sums of c c^T over the leading slot axis j do not depend on N
-    # (see cdnum._mul).
-    c = np.ascontiguousarray(parts.transpose(2, 1, 3, 0)).reshape(half, 4, rows)
-    g = (c[:, :, None] * c[:, None]).sum(axis=0)
+    # c[j, :, n] = (Re a_j, Im a_j, Re b_j, Im b_j) of row n; g sums c c^T
+    # over the slot axis j.
+    c = parts.transpose(2, 1, 3, 0).reshape(half, 4, rows)
+    g = _slot_sums(c[:, :, None] * c[:, None])
     aa = g[0, 0] + g[1, 1]
     bb = g[2, 2] + g[3, 3]
     ab_re = g[0, 2] + g[1, 3]

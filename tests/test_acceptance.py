@@ -23,6 +23,7 @@ from hopfq.tangles import (
     three_tangle,
     two_tangles,
 )
+from test_fibration import _random_product
 
 # one-vs-rest split patterns in which the leading qubit factors out
 _SPLITS = {
@@ -45,19 +46,6 @@ def _criterion(record, name, fn):
         record(f"[FAIL] {name}")
         raise
     record(f"[PASS] {name}")
-
-
-def _random_product(n, split, rng):
-    amps = np.array([1.0 + 0j])
-    for group in split:
-        z = rng.standard_normal(1 << len(group)) + 1j * rng.standard_normal(
-            1 << len(group)
-        )
-        amps = np.kron(amps, z / np.linalg.norm(z))
-    order = [q for group in split for q in group]
-    t = amps.reshape((2,) * n)
-    amps = np.transpose(t, axes=np.argsort(order)).reshape(-1)
-    return make_state(n, amps, normalize=True)
 
 
 def test_criterion_01_published_example_table(record_verdict):

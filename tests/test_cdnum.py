@@ -16,6 +16,7 @@ from hopfq.cdnum import (
     _mul,
     _mul_recursive,
     _sign_rows,
+    _slot_sums,
     _xor_terms,
     basis,
     basis_product_table,
@@ -577,6 +578,33 @@ def test_kernel_rows_alone_and_in_a_batch_are_bit_identical(level, rows):
         assert _mul(x[row], y[row]).tobytes() == prod[row].tobytes()
         assert _mul(x[row:row + 1], y[row:row + 1])[0].tobytes() == prod[row].tobytes()
         assert _mul(x[0], y[row]).tobytes() == one_x[row].tobytes()
+
+
+def _layouts(terms):
+    # The same values as a C copy and in three layouts that are not
+    # C-contiguous: a transposed view, a Fortran copy and a strided slice.
+    transposed = np.ascontiguousarray(terms.transpose()).transpose()
+    wide = np.zeros(tuple(2 * k for k in terms.shape))
+    strided = wide[tuple(slice(None, None, 2) for _ in terms.shape)]
+    strided[...] = terms
+    return {"C": terms.copy(), "transposed": transposed,
+            "fortran": np.asfortranarray(terms), "strided": strided}
+
+
+@pytest.mark.parametrize("layout", ["C", "transposed", "fortran", "strided"])
+@pytest.mark.parametrize("shape", [(16, 4, 256), (8, 4, 4, 17), (16, 2, 9)])
+def test_slot_sums_add_in_slot_order_in_any_layout(shape, layout):
+    rng = np.random.default_rng(sum(shape))
+    terms = _mixed_floats(rng, shape)
+    view = _layouts(terms)[layout]
+    assert layout == "C" or not view.flags.c_contiguous
+    sums = _slot_sums(view)
+    assert sums.tobytes() == np.add.accumulate(terms, axis=0)[-1].tobytes()
+    # Each trailing column alone, as a batch of one, gives its batch column;
+    # (16, 2, 1) is the fewest values per slot that _slot_sums supports.
+    for col in range(shape[-1]):
+        alone = _slot_sums(view[..., col:col + 1])
+        assert alone.tobytes() == sums[..., col:col + 1].tobytes()
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])

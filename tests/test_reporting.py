@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_braket import _FINITE
 from test_fibration import _draw_unit_state
 
 import hopfq.reporting
@@ -371,11 +372,6 @@ def test_report_tests_each_qubit_for_separability_once(monkeypatch):
 
 def _bits(values):
     return np.array(values, dtype=np.float64).tobytes()
-
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    (1e300, -1e300, 1e-300, -1e-300)
-)
 
 
 @settings(max_examples=200, deadline=None)

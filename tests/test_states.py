@@ -36,12 +36,9 @@ from hopfq.states import (
     w_state,
     write_state_file,
 )
+from test_cdnum import _dist
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _dist(x, y):
-    return float(np.max(np.abs(x.coeffs - y.coeffs)))
 
 
 def test_named_states_are_unit_norm():
