@@ -23,8 +23,8 @@ def _front_rows(state, qubit):
 
 def partial_trace_to_single(state, keep):
     """Reduced 2x2 density matrix of one qubit, tracing out the rest."""
-    m = _front_rows(state, keep)
-    return m @ m.conj().T
+    aa, bb, re, im = (float(v[0]) for v in _rho_first(_front_rows(state, keep).reshape(1, -1)))
+    return np.array([[aa, complex(re, -im)], [complex(re, im), bb]])
 
 
 def concurrence(state):
@@ -61,21 +61,21 @@ def two_tangles(state):
     return tuple(_tau_first(state.amps[_FRONT[3]]).tolist())
 
 
-def _tau_first(amps):
-    """4*det(rho) of the first qubit of each row of (N, 2**n) amplitudes.
-
-    With a, b the halves of a row, det(rho) = |a|^2 |b|^2 - |<a, b>|^2.
-    """
+def _rho_first(amps):
+    """rho of the first qubit of each row of (N, 2**n) amplitudes, as four
+    (N,) arrays (|a|^2, |b|^2, Re<a, b>, Im<a, b>), a and b the row's halves."""
     rows, half = len(amps), amps.shape[-1] // 2
     parts = np.ascontiguousarray(amps).view(np.float64).reshape(rows, 2, half, 2)
     # c[j, :, n] = (Re a_j, Im a_j, Re b_j, Im b_j) of row n; g sums c c^T
     # over the slot axis j.
     c = parts.transpose(2, 1, 3, 0).reshape(half, 4, rows)
     g = _slot_sums(c[:, :, None] * c[:, None])
-    aa = g[0, 0] + g[1, 1]
-    bb = g[2, 2] + g[3, 3]
-    ab_re = g[0, 2] + g[1, 3]
-    ab_im = g[0, 3] - g[1, 2]
+    return g[0, 0] + g[1, 1], g[2, 2] + g[3, 3], g[0, 2] + g[1, 3], g[0, 3] - g[1, 2]
+
+
+def _tau_first(amps):
+    """4*det(rho) of the first qubit of each row: 4(|a|^2 |b|^2 - |<a, b>|^2)."""
+    aa, bb, ab_re, ab_im = _rho_first(amps)
     return 4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))
 
 
@@ -112,8 +112,7 @@ def _classify_three(fronts, separable):
     # classify_three given the (3, 8) front rows and their separable list.
     if not any(separable):
         return "entangled"
-    m = fronts[separable.index(True)].reshape(2, -1)
-    rest = m[0] if np.linalg.norm(m[0]) >= np.linalg.norm(m[1]) else m[1]
-    if _separable_rows(rest.reshape(1, 2, 2))[0]:
+    # Both rows of the split-off qubit are multiples of the two-qubit rest.
+    if _separable_rows(fronts[separable.index(True)].reshape(2, 2, 2)).all():
         return "fully-separable"
     return "bi-separable"

@@ -75,11 +75,21 @@ def test_partial_trace_properties():
 
 
 def test_partial_trace_matches_dense_oracle():
-    # compare against the full density matrix traced the long way
-    s = random_state(3, seed=82)
-    full = np.outer(s.amps, s.amps.conj()).reshape(2, 2, 2, 2, 2, 2)
-    rho1 = np.einsum("aibajb->ij", full)
-    assert np.max(np.abs(partial_trace_to_single(s, 1) - rho1)) < 1e-12
+    # compare against the full density matrix traced the long way, for
+    # every qubit of Haar states on 2..4 qubits
+    for n in (2, 3, 4):
+        for k in range(20):
+            s = random_state(n, seed=82, index=k)
+            full = np.outer(s.amps, s.amps.conj()).reshape((2,) * (2 * n))
+            for keep in range(n):
+                row = "abcd"[:keep] + "i" + "abcd"[keep + 1 : n]
+                oracle = np.einsum(f"{row}{row.replace('i', 'j')}->ij", full)
+                rho = partial_trace_to_single(s, keep)
+                assert np.max(np.abs(rho - oracle)) < 1e-15
+                # exactly Hermitian, and 4 det rho is tau_one_rest's own sum
+                assert np.array_equal(rho, rho.conj().T)
+                det = rho[0, 0].real * rho[1, 1].real - (rho[0, 1].real ** 2 + rho[0, 1].imag ** 2)
+                assert 4.0 * det == tau_one_rest(s, keep)
 
 
 def test_partial_trace_index_check():
@@ -212,6 +222,14 @@ def test_classify_three():
     assert classify_three(half) == "bi-separable"
     assert classify_three(ghz_state(3)) == "entangled"
     assert classify_three(w_state(3)) == "entangled"
+    # a factor with one component near zero, split off at each position:
+    # both rows of that qubit are tested, not only the larger one
+    for tiny in ([1e-12, 1], [1, 1e-12j]):
+        for rest, expected in ((product_state([[1, 2j], [3, 1]]), "fully-separable"),
+                               (bell_state(), "bi-separable")):
+            s = make_state(3, np.kron(np.array(tiny, dtype=complex), rest.amps), normalize=True)
+            for perm in ([0, 1, 2], [1, 0, 2], [1, 2, 0]):
+                assert classify_three(permute_qubits(s, perm)) == expected
     with pytest.raises(ShapeError):
         classify_three(bell_state())
 
