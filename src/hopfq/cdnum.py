@@ -267,6 +267,15 @@ def _slot_sums(terms):
     return np.ascontiguousarray(terms).sum(axis=0)
 
 
+def _norm_sq(values):
+    """Squared norm of float or complex values: the squares of the real parts
+    and of the imaginary parts (zeros for floats), two per slot, summed in
+    index order through _slot_sums, then the two sums added."""
+    sq = np.square(np.asarray(values, np.complex128).view(np.float64))
+    re, im = _slot_sums(sq.reshape(-1, 2)).tolist()
+    return re + im
+
+
 def _mul(x, y):
     """Products of same-dtype coefficient arrays with 2**level columns.
 
@@ -311,7 +320,7 @@ def cd_conj(x):
 def cd_norm_sq(x):
     """Squared Euclidean norm, sum of squared coefficients."""
     with _raising():
-        return float(np.dot(x.coeffs, x.coeffs))
+        return _norm_sq(x.coeffs)
 
 
 def cd_inverse(x):
@@ -323,7 +332,7 @@ def cd_inverse(x):
     if x.is_zero():
         raise SingularElementError("cannot invert an element of zero norm")
     y, exp = _pow2_scaled(x.coeffs)
-    return CDElement(x.level, np.ldexp(_conj_coeffs(y) / np.dot(y, y), -exp))
+    return CDElement(x.level, np.ldexp(_conj_coeffs(y) / _norm_sq(y), -exp))
 
 
 def basis_product_table(level):

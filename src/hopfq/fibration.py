@@ -21,7 +21,7 @@ e_complement is the headline E in reports.
 
 import numpy as np
 
-from .cdnum import CDElement, _conj_coeffs, _mul, _raising, _slot_sums
+from .cdnum import CDElement, _conj_coeffs, _mul, _norm_sq, _raising, _slot_sums
 from .states import ShapeError, _encode_pairs
 
 E_SNAP_WINDOW = 1e-9
@@ -107,20 +107,21 @@ def e_measure(state):
 
 
 def _quotient_blocks_2(amps):
-    a = amps
-    num0 = np.conjugate(a[0]) * a[2] + np.conjugate(a[1]) * a[3]
-    num1 = a[0] * a[3] - a[1] * a[2]
-    return [(z.real, z.imag) for z in (num0, num1)]
+    a = amps.view(np.float64).reshape(4, 2)
+    m, cj = _mul, _conj_coeffs
+    with _raising():
+        return [m(cj(a[0]), a[2]) + m(cj(a[1]), a[3]), m(a[0], a[3]) - m(a[1], a[2])]
 
 
 def _quotient_blocks_3(amps):
-    a = amps
-    c = np.conjugate
-    k1 = a[0] * c(a[4]) + a[1] * c(a[5]) + c(a[6]) * a[2] + c(a[7]) * a[3]
-    k2 = a[1] * a[4] - a[0] * a[5] + c(a[6] * a[3] - a[7] * a[2])
-    k3 = a[2] * a[4] - a[6] * a[0] + c(a[7] * a[1] - a[3] * a[5])
-    k4 = a[6] * a[1] - a[2] * a[5] + c(a[7] * a[0] - a[3] * a[4])
-    return [(z.real, z.imag) for z in (k1, k2, k3, k4)]
+    a = amps.view(np.float64).reshape(8, 2)
+    m, cj = _mul, _conj_coeffs
+    with _raising():
+        k1 = m(a[0], cj(a[4])) + m(a[1], cj(a[5])) + m(cj(a[6]), a[2]) + m(cj(a[7]), a[3])
+        k2 = m(a[1], a[4]) - m(a[0], a[5]) + cj(m(a[6], a[3]) - m(a[7], a[2]))
+        k3 = m(a[2], a[4]) - m(a[6], a[0]) + cj(m(a[7], a[1]) - m(a[3], a[5]))
+        k4 = m(a[6], a[1]) - m(a[2], a[5]) + cj(m(a[7], a[0]) - m(a[3], a[4]))
+    return [k1, k2, k3, k4]
 
 
 def _quotient_blocks_4(amps):
@@ -153,7 +154,7 @@ def hopf_quotient(state):
     n, a = state.n, state.amps
     if n not in _QUOTIENT_BLOCKS:
         raise ShapeError("quotient is defined for 2..4 qubits")
-    den = float(sum(abs(z) ** 2 for z in a[1 << (n - 1) :]))
+    den = _norm_sq(a[1 << (n - 1) :])
     return _on_units(n, _QUOTIENT_BLOCKS[n](a)), den
 
 

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .cdnum import CDElement, _is_int, _is_pun, _pow2_scaled, _slot_sums
+from .cdnum import CDElement, _is_int, _is_pun, _norm_sq, _pow2_scaled, _slot_sums
 
 MAX_QUBITS = 4
 
@@ -60,7 +60,7 @@ class QubitState:
         arr = _amplitude_vector(n, amps)
         # Past the float range the squared norm is inf, which fails the window.
         with np.errstate(over="ignore"):
-            total = float((np.abs(arr) ** 2).sum())
+            total = _norm_sq(arr)
         if total < DEGENERATE_NORM_SQ:
             raise DegenerateStateError("amplitude vector is numerically zero")
         if abs(total - 1.0) >= NORM_TOL_INPUT:
@@ -120,7 +120,7 @@ def make_state(n, amps, normalize=False):
     # Scaled by the power of two of the largest real or imaginary part first,
     # so for inputs whose norm is in range unit / norm keeps every bit.
     unit = _pow2_scaled(_amplitude_vector(n, amps))[0]
-    norm = float(np.linalg.norm(unit))
+    norm = np.sqrt(_norm_sq(unit))
     if norm == 0.0:
         raise DegenerateStateError("amplitude vector is zero")
     return QubitState._trusted(n, unit / norm)

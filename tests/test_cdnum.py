@@ -15,6 +15,7 @@ from hopfq.cdnum import (
     ZERO_TOL,
     _mul,
     _mul_recursive,
+    _norm_sq,
     _sign_rows,
     _slot_sums,
     _xor_terms,
@@ -605,6 +606,34 @@ def test_slot_sums_add_in_slot_order_in_any_layout(shape, layout):
     for col in range(shape[-1]):
         alone = _slot_sums(view[..., col:col + 1])
         assert alone.tobytes() == sums[..., col:col + 1].tobytes()
+
+
+def _python_norm_sq(values):
+    # A plain loop: re**2 in index order, then im**2 (zeros for floats).
+    re_sq = im_sq = 0.0
+    for z in np.asarray(values, np.complex128).tolist():
+        re_sq += z.real * z.real
+        im_sq += z.imag * z.imag
+    return re_sq + im_sq
+
+
+def test_norm_sq_is_a_plain_loop_bit_for_bit():
+    rng = np.random.default_rng(300)
+    for length in range(1, 17):
+        for _ in range(40):
+            real = _mixed_floats(rng, length)
+            cplx = _mixed_floats(rng, (length, 2)).view(np.complex128)[:, 0]
+            for values in (real, cplx):
+                assert _norm_sq(values).hex() == _python_norm_sq(values).hex()
+            if length & (length - 1) == 0:
+                x = CDElement(length.bit_length() - 1, real)
+                assert cd_norm_sq(x).hex() == _python_norm_sq(real).hex()
+
+
+def test_norm_sq_of_one_large_coefficient_raises():
+    # 1e200 squared is past the float range, though its element is finite.
+    with pytest.raises(FloatingPointError):
+        cd_norm_sq(CDElement(2, [1e200, 0, 0, 0]))
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])

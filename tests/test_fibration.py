@@ -398,9 +398,21 @@ def test_quotient_numerators_equal_the_product_form():
             np.testing.assert_array_equal(hopf_quotient(s)[0].coeffs, want)
 
 
-def _element_quotient_4(amps):
-    # The published n = 4 blocks written with the element API, placed on
-    # 1, i4, i8, i12 and summed in block order.
+def _complex_blocks(n, a):
+    # The published n = 2, 3 blocks in numpy's complex arithmetic.
+    c = np.conjugate
+    if n == 2:
+        return [c(a[0]) * a[2] + c(a[1]) * a[3], a[0] * a[3] - a[1] * a[2]]
+    return [
+        a[0] * c(a[4]) + a[1] * c(a[5]) + c(a[6]) * a[2] + c(a[7]) * a[3],
+        a[1] * a[4] - a[0] * a[5] + c(a[6] * a[3] - a[7] * a[2]),
+        a[2] * a[4] - a[6] * a[0] + c(a[7] * a[1] - a[3] * a[5]),
+        a[6] * a[1] - a[2] * a[5] + c(a[7] * a[0] - a[3] * a[4]),
+    ]
+
+
+def _quaternion_blocks(amps):
+    # The published n = 4 blocks written with the element API.
     q1, q2, q3, q4, q5, q6, q7, q8 = (
         from_complex_pairs(2, amps[2 * m : 2 * m + 2]) for m in range(8)
     )
@@ -411,26 +423,39 @@ def _element_quotient_4(amps):
         cd_mul(q3, q5) - cd_mul(q7, q1) + cj(cd_mul(q3, q8) - cd_mul(q6, q4)),
         cd_mul(q2, q7) - cd_mul(q6, q3) + cj(cd_mul(q8, q1) - cd_mul(q4, q5)),
     )
+    return [b.coeffs for b in blocks]
+
+
+def _element_quotient(n, amps):
+    # The blocks placed on their units with cd_mul and summed in block order.
+    if n == 4:
+        blocks = _quaternion_blocks(amps)
+    else:
+        blocks = [np.array([z.real, z.imag]) for z in _complex_blocks(n, amps)]
+    step = (1 << n) // len(blocks)
     placed = [
-        cd_mul(CDElement(4, np.concatenate([b.coeffs, np.zeros(12)])), basis(4, 4 * k)).coeffs
+        cd_mul(CDElement(n, np.concatenate([b, np.zeros((1 << n) - len(b))])),
+               basis(n, step * k)).coeffs
         for k, b in enumerate(blocks)
     ]
-    return placed[0] + placed[1] + placed[2] + placed[3]
+    return sum(placed[1:], placed[0])
 
 
-def test_four_qubit_quotient_matches_the_element_formulas_bit_for_bit():
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quotient_matches_the_published_formulas_bit_for_bit(n):
     # Haar states, then sparse ones whose zero amplitudes carry both signs.
-    states = [random_state(4, seed=75, index=k) for k in range(300)]
+    m = 2 << n
+    states = [random_state(n, seed=75, index=k) for k in range(300)]
     rng = np.random.default_rng(76)
     for _ in range(300):
-        parts = np.where(rng.random(32) < 0.2, rng.standard_normal(32), 0.0)
-        parts[rng.integers(32)] = 1.0
-        parts = np.copysign(parts, rng.standard_normal(32))
-        states.append(make_state(4, parts.view(np.complex128), normalize=True))
+        parts = np.where(rng.random(m) < 0.2, rng.standard_normal(m), 0.0)
+        parts[rng.integers(m)] = 1.0
+        parts = np.copysign(parts, rng.standard_normal(m))
+        states.append(make_state(n, parts.view(np.complex128), normalize=True))
     parts = np.array([s.amps for s in states[300:]]).view(np.float64)
     assert np.signbit(parts[parts == 0.0]).any() and (~np.signbit(parts[parts == 0.0])).any()
     for s in states:
-        want = _element_quotient_4(s.amps)
+        want = _element_quotient(n, s.amps)
         assert hopf_quotient(s)[0].coeffs.tobytes() == want.tobytes()
 
 

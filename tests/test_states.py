@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hopfq.cdnum import basis, complex_pairs, one, zero
+from hopfq.cdnum import CDElement, basis, cd_inverse, cd_norm_sq, complex_pairs, one, zero
 from hopfq.states import (
     DegenerateStateError,
     MAX_QUBITS,
@@ -36,7 +38,7 @@ from hopfq.states import (
     w_state,
     write_state_file,
 )
-from test_cdnum import _dist
+from test_cdnum import _dist, _python_norm_sq
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -349,16 +351,36 @@ def test_normalize_rescales_at_any_float_scale():
         assert np.max(np.abs(s.amps - bell_state().amps)) < 1e-15
     big = make_state(1, np.array([1.7e308 + 1.7e308j, 1.7e308]), normalize=True)
     assert abs(np.sum(np.abs(big.amps) ** 2) - 1.0) < 1e-15
-    # in-range inputs rescale bit for bit as a plain division by the norm
+    # in-range inputs rescale bit for bit as a plain division by the norm,
+    # whose square a plain Python loop adds: re**2 in index order, then im**2
     rng = np.random.default_rng(41)
     for _ in range(50):
         amps = rng.standard_normal(8) * 3.0 + 1j * rng.standard_normal(8)
         s = make_state(3, amps, normalize=True)
-        assert s.amps.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+        assert s.amps.tobytes() == (amps / math.sqrt(_python_norm_sq(amps))).tobytes()
     with pytest.raises(DegenerateStateError):
         make_state(2, np.zeros(4), normalize=True)
     with pytest.raises(StateError):
         make_state(1, np.array([np.inf, 1.0]), normalize=True)
+
+
+def test_norms_hash_the_same_on_every_cpu():
+    # sha256 over normalized amplitudes (n = 1..4, scales 1e-3 and 1e3) and
+    # level-4 squared norms and inverses.  Every squared norm adds in index
+    # order, not in an order that numpy's SIMD loops or BLAS pick for the CPU.
+    rng = np.random.default_rng(2301)
+    digest = hashlib.sha256()
+    for n in range(1, MAX_QUBITS + 1):
+        for scale in (1e-3, 1e3):
+            for _ in range(250):
+                amps = (rng.standard_normal((1 << n, 2)) * scale).view(np.complex128)[:, 0]
+                digest.update(make_state(n, amps, normalize=True).amps.tobytes())
+    for _ in range(500):
+        x = CDElement(4, rng.standard_normal(16))
+        digest.update(np.float64(cd_norm_sq(x)).tobytes() + cd_inverse(x).coeffs.tobytes())
+    assert digest.hexdigest() == (
+        "26bcb3013a50ea39b7ecc7ae8d9f09885ef493f15e9644bb55e87c7672ab94a8"
+    )
 
 
 def test_unnormalized_extremes_are_typed_errors():
