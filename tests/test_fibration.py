@@ -398,9 +398,28 @@ def test_quotient_numerators_equal_the_product_form():
             np.testing.assert_array_equal(hopf_quotient(s)[0].coeffs, want)
 
 
-def _complex_blocks(n, a):
-    # The published n = 2, 3 blocks in numpy's complex arithmetic.
-    c = np.conjugate
+class _Complex(tuple):
+    # A complex number as two Python floats.  Each Python operation rounds on
+    # its own, so no compiler can fuse a multiply and an add here, as it may
+    # in numpy's or CPython's complex multiply.
+    def __add__(self, other):
+        return _Complex((self[0] + other[0], self[1] + other[1]))
+
+    def __sub__(self, other):
+        return _Complex((self[0] - other[0], self[1] - other[1]))
+
+    def __mul__(self, other):
+        return _Complex((self[0] * other[0] - self[1] * other[1],
+                         self[0] * other[1] + self[1] * other[0]))
+
+
+def _complex_blocks(n, amps):
+    # The published n = 2, 3 blocks in complex arithmetic.
+    a = [_Complex((float(z.real), float(z.imag))) for z in amps]
+
+    def c(z):
+        return _Complex((z[0], -z[1]))
+
     if n == 2:
         return [c(a[0]) * a[2] + c(a[1]) * a[3], a[0] * a[3] - a[1] * a[2]]
     return [
@@ -431,7 +450,7 @@ def _element_quotient(n, amps):
     if n == 4:
         blocks = _quaternion_blocks(amps)
     else:
-        blocks = [np.array([z.real, z.imag]) for z in _complex_blocks(n, amps)]
+        blocks = [np.array(z) for z in _complex_blocks(n, amps)]
     step = (1 << n) // len(blocks)
     placed = [
         cd_mul(CDElement(n, np.concatenate([b, np.zeros((1 << n) - len(b))])),
