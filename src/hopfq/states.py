@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .cdnum import CDElement, _is_int, _is_pun, _norm_sq, _pow2_scaled, _slot_sums
+from .cdnum import CDElement, _is_int, _is_pun, _mul, _norm_sq, _pow2_scaled, _slot_sums
 
 MAX_QUBITS = 4
 
@@ -359,12 +359,15 @@ def w_state(n):
 
 def product_state(factors):
     """Tensor product of per-qubit amplitude pairs, most significant first.
-    Each factor is checked as a one-qubit vector and scaled as make_state
-    scales, so the product stays in the float range."""
-    amps = np.array([1.0 + 0j])
+    The factor count is checked first, then each factor as a one-qubit vector
+    scaled as make_state scales.  Amplitude i of each partial product is the
+    level-1 _mul of the previous one's amplitude i // 2 and the factor's i % 2."""
+    _check_qubit_count(len(factors))
+    amps = np.array([[1.0, 0.0]])
     for f in factors:
-        amps = np.kron(amps, _pow2_scaled(_amplitude_vector(1, f))[0])
-    return make_state(len(factors), amps, normalize=True)
+        pair = _pow2_scaled(_amplitude_vector(1, f))[0].view(np.float64).reshape(2, 2)
+        amps = _mul(np.repeat(amps, 2, axis=0), np.tile(pair, (len(amps), 1)))
+    return make_state(len(factors), amps.copy().view(np.complex128).ravel(), normalize=True)
 
 
 def state_to_json(state):

@@ -26,6 +26,7 @@ from hopfq.states import (
     ghz_state,
     make_state,
     permute_qubits,
+    product_state,
     random_state,
     read_state_file,
     state_from_json,
@@ -327,6 +328,9 @@ _AMPLITUDES = st.one_of(
     st.lists(_PUNS, min_size=1, max_size=17).map(np.array),
     st.text(max_size=4),
 )
+# product_state factors: hostile amplitudes, or pairs of any float or complex
+# parts, so that lists of them reach the count check and the products too.
+_FACTORS = _AMPLITUDES | st.lists(st.floats() | st.complex_numbers(), min_size=2, max_size=2)
 _DIGITS = st.integers(-2, 20) | st.sampled_from((True, False, 2.0, "2", None, b"2"))
 
 
@@ -385,8 +389,8 @@ def test_main_ends_in_a_documented_exit(tmp_path_factory, data):
 @given(data=st.data())
 def test_entry_points_raise_only_typed_errors(data):
     entry = data.draw(st.sampled_from(
-        ("parse_state", "state_from_json", "make_state", "CDElement", "from_complex_pairs",
-         "format_state")
+        ("parse_state", "state_from_json", "make_state", "product_state", "CDElement",
+         "from_complex_pairs", "format_state")
     ))
     normalize = data.draw(st.booleans())
     with warnings.catch_warnings():
@@ -401,6 +405,12 @@ def test_entry_points_raise_only_typed_errors(data):
                 make_state(data.draw(_QUBIT_COUNTS), amps, normalize=normalize)
                 # A boolean, string or bytes amplitude never makes a state.
                 assert not _has_pun(amps), amps
+            elif entry == "product_state":
+                factors = data.draw(st.lists(_FACTORS, max_size=6))
+                product_state(factors)
+                # 1-4 factors, none of them a pun, make a state.
+                assert 1 <= len(factors) <= 4, factors
+                assert not any(map(_has_pun, factors)), factors
             elif entry == "format_state":
                 # digits is an int from 1 to 17; anything else is a ValueError.
                 digits = data.draw(_DIGITS)

@@ -42,6 +42,7 @@ from hopfq.states import (
     w_state,
 )
 from hopfq.tangles import _tau_first, concurrence, partial_trace_to_single, tau_one_rest
+from conftest import _Complex
 from test_tangles import _apply_local, _haar_unitary
 
 
@@ -396,21 +397,6 @@ def test_quotient_numerators_equal_the_product_form():
                 np.zeros(1 << n),
             )
             np.testing.assert_array_equal(hopf_quotient(s)[0].coeffs, want)
-
-
-class _Complex(tuple):
-    # A complex number as two Python floats.  Each Python operation rounds on
-    # its own, so no compiler can fuse a multiply and an add here, as it may
-    # in numpy's or CPython's complex multiply.
-    def __add__(self, other):
-        return _Complex((self[0] + other[0], self[1] + other[1]))
-
-    def __sub__(self, other):
-        return _Complex((self[0] - other[0], self[1] - other[1]))
-
-    def __mul__(self, other):
-        return _Complex((self[0] * other[0] - self[1] * other[1],
-                         self[0] * other[1] + self[1] * other[0]))
 
 
 def _complex_blocks(n, amps):

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import os
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfq.cdnum import CDElement, basis, cd_inverse, cd_norm_sq, complex_pairs, one, zero
@@ -38,6 +37,7 @@ from hopfq.states import (
     w_state,
     write_state_file,
 )
+from conftest import _Complex
 from test_cdnum import _dist, _python_norm_sq
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -439,14 +439,64 @@ _factor_parts = st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False).fi
 )
 
 
+def _python_product(factors):
+    # The tensor product in Python floats, one rounding per operation.  Each
+    # part is added to 0.0, as numpy's sum starts, so where Python's product
+    # gives -0.0, _mul's gives 0.0; no other value moves.
+    start = _Complex((0.0, 0.0))
+    amps = [_Complex((1.0, 0.0))]
+    for f in factors:
+        pair = [_Complex((float(z.real), float(z.imag))) for z in f]
+        amps = [start + a * b for a in amps for b in pair]
+    return np.array([complex(*a) for a in amps])
+
+
 @settings(max_examples=200, deadline=None)
+@example(parts=[[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 @given(st.lists(st.lists(_factor_parts, min_size=4, max_size=4), min_size=1, max_size=4))
-def test_product_state_is_the_normalized_kron_of_in_range_factors(parts):
+def test_product_state_is_the_normalized_python_float_product_of_in_range_factors(parts):
     factors = [np.array(f).view(np.complex128) for f in parts]
     assume(all(np.any(f) for f in factors))
-    kron = functools.reduce(np.kron, factors, np.ones(1, np.complex128))
-    expected = make_state(len(factors), kron, normalize=True)
+    expected = make_state(len(factors), _python_product(factors), normalize=True)
     assert product_state(factors).amps.tobytes() == expected.amps.tobytes()
+
+
+def test_product_state_checks_the_factor_count_before_reading_a_factor():
+    class Counted(list):
+        # A factor list that counts the factors read from it.
+        read = 0
+
+        def __iter__(self):
+            for f in super().__iter__():
+                self.read += 1
+                yield f
+
+    for count in (0, 5):
+        factors = Counted([[1, 0]] * count)
+        with pytest.raises(ShapeError, match="qubit count"):
+            product_state(factors)
+        assert factors.read == 0
+    factors = Counted([[1, 0]] * 4)
+    assert product_state(factors).n == 4 and factors.read == 4
+
+
+def test_products_hash_the_same_on_every_cpu():
+    # sha256 over products of 1-4 one-qubit random_state factors, a third of
+    # them scaled by 1e-3 and a third by 1e3.  Every amplitude is a level-1
+    # _mul, with no multiply-add that numpy's SIMD complex loops may fuse.
+    digest = hashlib.sha256()
+    index = 0
+    for n in range(1, MAX_QUBITS + 1):
+        for _ in range(250):
+            factors = []
+            for _ in range(n):
+                parts = random_state(1, 2401, index).amps.view(np.float64)
+                factors.append((parts * (1.0, 1e-3, 1e3)[index % 3]).view(np.complex128))
+                index += 1
+            digest.update(product_state(factors).amps.tobytes())
+    assert digest.hexdigest() == (
+        "27a22714968c3831e0cc216bac3d001f671aac459c34abe52d35e8ee21ae0cdf"
+    )
 
 
 def test_json_round_trip_bit_exact():
