@@ -63,7 +63,8 @@ class _LazyModule(types.ModuleType):
         read = types.ModuleType.__getattribute__
         state = read(self, "__spec__").loader_state
         with state["lock"]:
-            if type(self) is _LazyModule and not state["running"]:
+            # Not `is _LazyModule`: modules registered before a reload keep the old class.
+            if type(self) is not types.ModuleType and not state["running"]:
                 state["running"] = True
                 try:
                     read(self, "__loader__").exec_module(self)

@@ -358,13 +358,6 @@ def find_basis_zero_divisors(level):
     first with zero divisors.
     """
     _check_level(level)
-    return _basis_zero_divisors(level)
-
-
-# Cached behind the check: a cache would answer True or 1.0 from the entry
-# of 1 without checking them.
-@functools.lru_cache(maxsize=None)
-def _basis_zero_divisors(level):
     m = 1 << level
     signs = _sign_rows(level)
     keys = [(a, s, b) for a in range(m) for b in range(a + 1, m) for s in (1, -1)]

@@ -14,9 +14,12 @@ import os
 
 import numpy as np
 
-from .cdnum import CDElement, _is_int, _is_pun, _mul, _norm_sq, _pow2_scaled, _slot_sums
+from .cdnum import (
+    MAX_LEVEL, CDElement, _is_int, _is_pun, _mul, _norm_sq, _pow2_scaled, _slot_sums,
+)
 
-MAX_QUBITS = 4
+# n qubits encode at level n.
+MAX_QUBITS = MAX_LEVEL
 
 NORM_TOL_INPUT = 1e-6
 # A squared norm below this is the zero vector, whatever the norm window.
@@ -213,13 +216,13 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_steps(const, mult):
-    # The (xor, multiply) constants of successive hash steps: each step
-    # multiplies the hash constant by `mult` between its xor and its multiply.
-    while True:
-        step = const * mult & _MASK32
-        yield const, step
-        const = step
+def _hash_steps(init, mult, start, count):
+    # The (xor, multiply) constants of hash steps start .. start+count-1 as
+    # uint64 columns of shape (count, 1): step t xors init*mult**t and
+    # multiplies by init*mult**(t+1), both mod 2**32.
+    consts = [init * pow(mult, t, 1 << 32) & _MASK32 for t in range(start, start + count + 1)]
+    consts = np.array(consts, dtype=np.uint64)[:, None]
+    return consts[:-1], consts[1:]
 
 
 def _hashmix(value, xor, mul):
@@ -233,22 +236,13 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _words(value):
-    # The little-endian 32-bit words of a nonnegative integer; 0 is one word.
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _step_array(steps, count):
-    # The next `count` steps as (xor, multiply) uint64 columns of shape (count, 1).
-    xor, mul = np.array([next(steps) for _ in range(count)], dtype=np.uint64).T
-    return xor[:, None], mul[:, None]
+def _word_count(value):
+    # The number of 32-bit words of a nonnegative integer; 0 is one word.
+    return max(1, (value.bit_length() + 31) // 32)
 
 
 # generate_state's steps, one per output word: four words make two uint64 keys.
-_OUTPUT_STEPS = _step_array(_hash_steps(_INIT_B, _MULT_B), _POOL_SIZE)
+_OUTPUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 0, _POOL_SIZE)
 
 
 def _philox_keys(seed, indices):
@@ -269,13 +263,13 @@ def _philox_keys(seed, indices):
         raise ValueError("expected non-negative integer")
     # The seed took one hash step per pool word for each of its words, and
     # for at least as many words as the pool holds.
-    taken = _POOL_SIZE * max(_POOL_SIZE, len(_words(seed)))
-    steps = _hash_steps(_INIT_A * pow(_MULT_A, taken, 1 << 32) & _MASK32, _MULT_A)
+    taken = _POOL_SIZE * max(_POOL_SIZE, _word_count(seed))
     pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
-    for k in range(len(_words(max(index, default=0)))):
+    for k in range(_word_count(max(index, default=0))):
         word = np.array([i >> 32 * k & _MASK32 for i in index], dtype=np.uint64)
         has_word = np.array([k == 0 or i >> 32 * k > 0 for i in index], dtype=bool)
-        mixed = _mix(pool, _hashmix(word, *_step_array(steps, _POOL_SIZE)))
+        steps = _hash_steps(_INIT_A, _MULT_A, taken + _POOL_SIZE * k, _POOL_SIZE)
+        mixed = _mix(pool, _hashmix(word, *steps))
         pool = np.where(has_word, mixed, pool)
     # Four 32-bit output words per row, read as two little-endian uint64s.
     out = _hashmix(pool, *_OUTPUT_STEPS)

@@ -12,10 +12,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # sha256 of each demo's standard output (UTF-8); a change to what a demo
 # prints, on purpose or not, shows here.
 STDOUT_SHA256 = {
-    "ball_map.py": "9e0e7d25c97b283a1b5d8979197658ceb1debea8512816d8f004c254e698672f",
+    "ball_map.py": "73d04c2aa080797b77da22dfd5fb3fcdf201ac97d2a58f65399642cfc184d9ab",
     "cayley_dickson_tour.py": "6911127a0064035f29fe82923ee7c7dbf8be8cf79dbcc85128a1bb341f96ae1c",
     "entanglement_audit.py": "707b9cb200b67ebda28edb5558f9bb06259648f27616da7d74305a6b1d511cbc",
-    "hopf_coordinates.py": "931e42f71c28545bbb2b169767e04556a4bfe42702e7c06e525ae1a2405c3228",
+    "hopf_coordinates.py": "da279746b0c734e2e41af45d2a986f973c6482aa897494ba46015a5b5a89844a",
     "state_language.py": "e9247fa4c2a8afe629ef165758c8602da5646a213ef33ff80920871964083043",
 }
 

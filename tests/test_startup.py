@@ -63,6 +63,33 @@ for thread in threads:
 assert not errors, errors
 """
 
+# Listing the package runs no submodule, and a reload of the package, before
+# or after its submodules run, leaves every export readable.
+RELOAD = """
+import importlib, sys, types
+import hopfq
+
+subs = ("cdnum", "states", "braket", "fibration", "tangles", "reporting")
+listed = dir(hopfq)
+assert set(hopfq.__all__) <= set(listed) and set(subs) <= set(listed), listed
+assert all(type(sys.modules[f"hopfq.{sub}"]) is not types.ModuleType for sub in subs)
+assert not any(m.split(".")[0] == "numpy" for m in sys.modules)
+
+importlib.reload(hopfq)
+assert len(hopfq.find_basis_zero_divisors(4)) == 336
+assert not any(m.split(".")[0] == "numpy" for m in sys.modules)
+assert all(sys.modules[f"hopfq.{sub}"] is getattr(hopfq, sub) for sub in subs)
+for name in hopfq.__all__:
+    getattr(hopfq, name)
+assert hopfq.ghz_state(3).n == 3
+
+importlib.reload(hopfq)
+assert all(sys.modules[f"hopfq.{sub}"] is getattr(hopfq, sub) for sub in subs)
+for name in hopfq.__all__:
+    getattr(hopfq, name)
+assert hopfq.cd_mul is hopfq.cdnum.cd_mul and hopfq.ghz_state(4).n == 4
+"""
+
 
 def _run(script):
     env = dict(os.environ)
@@ -100,6 +127,12 @@ def test_first_reads_from_several_threads():
         result = _run(THREADS)
         assert result.returncode == 0, result.stderr.decode(errors="replace")
         assert result.stderr == b""
+
+
+def test_listing_and_reloading_the_package():
+    result = _run(RELOAD)
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert result.stderr == b""
 
 
 def test_failed_load_runs_again(tmp_path, monkeypatch):
