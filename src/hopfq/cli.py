@@ -7,11 +7,13 @@ Subcommands:
     sample         CSV of measures over Haar-random states (fixed seed)
     zero-divisors  basis zero-divisor census and the basis product table
 
-Exit codes: 0 success, 1 parse error, 2 invalid input or state,
-3 numeric failure, 4 conformance mismatch under --strict.
+Exit codes: 0 success, 1 parse error, 2 invalid input or state or unwritable
+output (standard output or --out), 3 numeric failure, 4 mismatch under --strict.
 """
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 
@@ -27,48 +29,57 @@ EXIT_STRICT = 4
 
 
 def _emit(chunks, out_path):
-    """Write an iterable of strings to out_path, or to standard output."""
-    if out_path is None:
-        sys.stdout.writelines(chunks)
-        return EXIT_OK
+    """Write an iterable of strings to out_path, or to standard output.  A
+    write or flush that fails on either is one error line and exit 2."""
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        if out_path is not None:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        elif sys.stdout is None:  # Python's stand-in for a closed descriptor
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        return EXIT_OK
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        if out_path is None:
+            _silence(sys.stdout)
+        where = "standard output" if out_path is None else out_path
+        try:
+            print(f"error: cannot write {where}: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # standard error may be that pipe too
+            _silence(sys.stderr)
         return EXIT_STATE
-    return EXIT_OK
 
 
-def _load_state(source, normalize):
-    """A --state value is a file path when one exists, bra-ket text otherwise."""
-    if os.path.isfile(source):
-        return states.read_state_file(source, normalize=normalize)
-    return braket.parse_state(source, normalize=normalize)
+def _silence(stream):
+    """Point a failed stream's descriptor, if it has one, at os.devnull, so
+    the interpreter's flush at exit cannot fail on it again."""
+    with contextlib.suppress(AttributeError, OSError):  # None and io.StringIO have none
+        fd = stream.fileno()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
 
 
 def cmd_analyze(args):
-    state = _load_state(args.state, args.normalize)
-    report = reporting.analyze_state(state, qubit=args.qubit)
+    # A --state value is a file path when one exists, bra-ket text otherwise.
+    load = states.read_state_file if os.path.isfile(args.state) else braket.parse_state
+    report = reporting.analyze_state(load(args.state, normalize=args.normalize), qubit=args.qubit)
     write = reporting.report_to_csv if args.format == "csv" else reporting.report_to_json
-    return _emit([write(report)], args.out)
+    return [write(report)], EXIT_OK
 
 
 def cmd_verify_paper(args):
     rows = reporting.conformance_rows()
     write = {"text": reporting.rows_to_text, "json": reporting.rows_to_json,
              "csv": reporting.rows_to_csv}[args.format]
-    code = _emit([write(rows)], args.out)
-    if code == EXIT_OK and args.strict and any(not r.match for r in rows):
-        return EXIT_STRICT
-    return code
+    mismatch = args.strict and any(not r.match for r in rows)
+    return [write(rows)], EXIT_STRICT if mismatch else EXIT_OK
 
 
 def cmd_sample(args):
     if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return EXIT_STATE
-    return _emit(reporting.sample_rows(args.qubits, args.count, args.seed), args.out)
+        raise states.StateError("--count must be at least 1")
+    return reporting.sample_rows(args.qubits, args.count, args.seed), EXIT_OK
 
 
 def _format_pair(pair):
@@ -84,7 +95,7 @@ def cmd_zero_divisors(args):
         rows = cdnum.basis_product_table(level)
         lines = ["a,b,sign,index"]
         lines += [f"{a},{b},{'+' if s > 0 else '-'},{k}" for a, b, s, k in rows]
-        return _emit(["\n".join(lines) + "\n"], args.out)
+        return ["\n".join(lines) + "\n"], EXIT_OK
     lines = []
     for level in range(1, cdnum.MAX_LEVEL + 1):
         pairs = cdnum.find_basis_zero_divisors(level)
@@ -92,11 +103,9 @@ def cmd_zero_divisors(args):
         if not pairs:
             lines.append(f"level {level} ({name}): none")
         else:
-            lines.append(
-                f"level {level} ({name}): {len(pairs)} two-term basis zero-divisor pairs"
-            )
+            lines.append(f"level {level} ({name}): {len(pairs)} two-term basis zero-divisor pairs")
             lines += ["  " + _format_pair(p) for p in pairs]
-    return _emit(["\n".join(lines) + "\n"], args.out)
+    return ["\n".join(lines) + "\n"], EXIT_OK
 
 
 def build_parser():
@@ -106,41 +115,32 @@ def build_parser():
         "via Cayley-Dickson pair encodings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write to this path instead of standard output")
 
-    p = sub.add_parser("analyze", help="analyze one state")
-    p.add_argument(
-        "--state",
-        required=True,
-        help="bra-ket expression, e.g. '(|00>+|11>)/sqrt(2)', or a state-file path",
-    )
+    p = sub.add_parser("analyze", help="analyze one state", parents=[out])
+    p.add_argument("--state", required=True,
+                   help="bra-ket expression, e.g. '(|00>+|11>)/sqrt(2)', or a state-file path")
     p.add_argument("--qubit", type=int, default=0, help="qubit to bring into the leading role")
     p.add_argument("--normalize", action="store_true", help="rescale input to unit norm")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="write to this path instead of standard output")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("verify-paper", help="published-example conformance table")
+    p = sub.add_parser("verify-paper", help="published-example conformance table", parents=[out])
     p.add_argument("--strict", action="store_true", help="exit 4 if any row mismatches")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", help="write to this path instead of standard output")
     p.set_defaults(func=cmd_verify_paper)
 
-    p = sub.add_parser("sample", help="measure statistics over random states")
+    p = sub.add_parser("sample", help="measure statistics over random states", parents=[out])
     p.add_argument("--qubits", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write to this path instead of standard output")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("zero-divisors", help="zero-divisor census / product table")
+    p = sub.add_parser("zero-divisors", help="zero-divisor census / product table", parents=[out])
     p.add_argument("--table", action="store_true", help="emit the basis product table as CSV")
-    p.add_argument(
-        "--level",
-        type=int,
-        choices=range(cdnum.MAX_LEVEL + 1),
-        help=f"algebra level for --table (default {cdnum.MAX_LEVEL})",
-    )
-    p.add_argument("--out", help="write to this path instead of standard output")
+    p.add_argument("--level", type=int, choices=range(cdnum.MAX_LEVEL + 1),
+                   help=f"algebra level for --table (default {cdnum.MAX_LEVEL})")
     p.set_defaults(func=cmd_zero_divisors)
     return parser
 
@@ -150,11 +150,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.func is cmd_zero_divisors and args.level is not None and not args.table:
         parser.error("zero-divisors: --level applies only with --table")
-    # The one place a typed error becomes an exit code.  An except clause's
-    # class is read only when an exception reaches it, so a command that
-    # succeeds loads no module for this ladder (zero-divisors needs no numpy).
+    # The one place output is written and a typed error becomes an exit code.
+    # An except clause's class is read only when an exception reaches it, so
+    # a command that succeeds loads no module for this ladder (zero-divisors
+    # needs no numpy); _emit catches its own OSError for that reason.
     try:
-        return args.func(args)
+        chunks, code = args.func(args)
+        return _emit(chunks, args.out) or code
     except braket.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

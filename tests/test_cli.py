@@ -1,12 +1,15 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib.metadata
 import importlib.resources
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import warnings
 
@@ -38,7 +41,8 @@ if sys.version_info >= (3, 11):
 else:  # pytest itself depends on tomli below 3.11
     import tomli as tomllib
 
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _run(capsys, *argv):
@@ -282,7 +286,7 @@ def test_sample_deterministic(capsys, tmp_path):
 
 def test_sample_bad_arguments(capsys, tmp_path):
     code, _, err = _run(capsys, "sample", "--qubits", "2", "--count", "0")
-    assert code == 2 and "count" in err
+    assert (code, err) == (2, "error: --count must be at least 1\n")
     code, _, err = _run(
         capsys, "sample", "--qubits", "2", "--count", "1", "--seed", "-3"
     )
@@ -302,6 +306,90 @@ def test_sample_unwritable_path(capsys, tmp_path):
         "sample", "--qubits", "2", "--count", "1", "--out", str(target),
     )
     assert code == 2 and "cannot write" in err
+
+
+def test_failed_write_beats_strict(capsys, tmp_path):
+    # --strict's exit 4 needs the table written: a failed write is exit 2.
+    target = tmp_path / "no_such_dir" / "x"
+    code, out, err = _run(capsys, "verify-paper", "--strict", "--out", str(target))
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot write {target}: ")
+
+
+class _BrokenStream(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("stream, reason", [
+    (_BrokenStream(), "[Errno 32] Broken pipe"),
+    (None, "[Errno 9] Bad file descriptor"),
+], ids=["failing-stream", "closed"])
+def test_failed_standard_output_without_a_descriptor(capsys, monkeypatch, stream, reason):
+    # In process, standard output may have no descriptor (a StringIO, or the
+    # None Python sets for a closed one): the failure is still one line.
+    monkeypatch.setattr(sys, "stdout", stream)
+    code = cli.main(["zero-divisors"])
+    assert (code, capsys.readouterr().err) == (2, f"error: cannot write standard output: {reason}\n")
+
+
+def _command(*argv):
+    # A fresh `python -m hopfq.cli` process on this source tree, its standard
+    # streams buffered as in a plain shell, so a failed write leaves bytes
+    # that the interpreter's flush at exit tries again.
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "hopfq.cli", *argv], env
+
+
+def _assert_one_write_error(returncode, stderr):
+    err = stderr.decode(errors="replace")
+    assert returncode == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write standard output: "), err
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["stderr-apart", "stderr-merged"])
+def test_standard_output_closed_after_the_header(merged):
+    # `hopfq sample ... | head -1`: the reader goes away after one line, and
+    # the next write fails.  With stderr on that pipe too, only the exit
+    # code is left to see.
+    cmd, env = _command("sample", "--qubits", "4", "--count", "100000", "--seed", "1")
+    stderr = subprocess.STDOUT if merged else subprocess.PIPE
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=stderr) as proc:
+        assert proc.stdout.readline().startswith(b"index,e_complement,")
+        proc.stdout.close()
+        err = b"" if merged else proc.stderr.read()
+        code = proc.wait(timeout=120)
+    if merged:
+        assert code == 2
+    else:
+        _assert_one_write_error(code, err)
+
+
+_EVERY_COMMAND = (
+    ["zero-divisors"], ["verify-paper"], ["analyze", "--state", "|01>"],
+    ["sample", "--qubits", "2", "--count", "3"],
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_standard_output_on_a_full_device(argv):
+    cmd, env = _command(*argv)
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run(cmd, env=env, stdout=full, stderr=subprocess.PIPE, timeout=120)
+    _assert_one_write_error(result.returncode, result.stderr)
+
+
+def test_standard_output_closed():
+    # Python starts with sys.stdout None when descriptor 1 is closed; the
+    # failed write also beats --strict's exit 4.
+    cmd, env = _command("verify-paper", "--strict")
+    result = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *cmd], env=env,
+                            stderr=subprocess.PIPE, timeout=120)
+    _assert_one_write_error(result.returncode, result.stderr)
 
 
 # Inputs for the typed-errors properties: state text over the parser's fuzz

@@ -34,6 +34,7 @@ from hopfq.states import (
     _encode_pairs,
     basis_state,
     bell_state,
+    bring_to_front,
     encode_pair,
     ghz_state,
     make_state,
@@ -115,6 +116,22 @@ def test_triple_excitation_4_measure():
     assert abs(e[0] - 0.75) < 1e-12 and abs(e[1] - 0.75) < 1e-12
     x, y, z = ball_coordinates(s)
     assert abs(z + 0.5) < 1e-12
+
+
+def test_w0_and_w1_share_every_even_function_of_the_base_point():
+    # W1 is W0 with X on every qubit.  For each split qubit, delta flips sign
+    # and the |P_k| agree, so any function of delta^2 and the |P_k| (E,
+    # e_sum, the defect, the ball radius) gives both the same value, never
+    # the published pair (1/2, 3/4).
+    published = dict(PUBLISHED_STATES)
+    w0 = parse_state(published["W0 (4 qubits)"])
+    w1 = parse_state(published["W1 (4 qubits)"])
+    for q in range(4):
+        b0, b1 = (base_coordinates(bring_to_front(s, q)) for s in (w0, w1))
+        assert (b0.delta, b1.delta) == (0.5, -0.5)
+        assert sorted(np.abs(b0.comps).tolist()) == sorted(np.abs(b1.comps).tolist())
+        for s in (w0, w1):
+            assert e_measure(bring_to_front(s, q)) == (0.75, 0.75, 0.0)
 
 
 def test_sphere_identity_small_n():

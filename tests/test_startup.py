@@ -13,9 +13,10 @@ import hopfq
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Run in a fresh interpreter with warnings as errors: the package's modules
-# after `import hopfq.cli`, then the census and the product table.
+# after `import hopfq.cli`, then the census and the product table, and the
+# census into a stream on a full device, whose write error loads no numpy.
 SCRIPT = """
-import sys, types
+import contextlib, os, sys, types
 import hopfq, hopfq.cli
 
 names = ("cdnum", "states", "braket", "fibration", "tangles", "reporting", "cli")
@@ -27,6 +28,9 @@ for name in names:
 assert hopfq.cli.main(["zero-divisors"]) == 0
 assert hopfq.cli.main(["zero-divisors", "--table"]) == 0
 assert hopfq.cli.main(["zero-divisors", "--table", "--level", "2"]) == 0
+if os.path.exists("/dev/full"):
+    with open("/dev/full", "w") as full, contextlib.redirect_stdout(full):
+        assert hopfq.cli.main(["zero-divisors"]) == 2
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 assert not loaded, loaded
 """
@@ -102,7 +106,11 @@ def _run(script):
 def test_census_and_table_run_without_numpy():
     result = _run(SCRIPT)
     assert result.returncode == 0, result.stderr.decode(errors="replace")
-    assert result.stderr == b""
+    if os.path.exists("/dev/full"):
+        line, = result.stderr.splitlines()
+        assert line.startswith(b"error: cannot write standard output: [Errno 28] ")
+    else:
+        assert result.stderr == b""
     assert result.stdout.startswith(b"level 1 (complex): none\n")
 
 

@@ -193,6 +193,32 @@ def test_tangle_monogamy():
             assert t3 <= tau + 1e-9
 
 
+_SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def _wootters_c2(state, traced):
+    # Test-only oracle: squared concurrence of the two qubits left after
+    # tracing out `traced` (Wootters 1998), from the square roots of the
+    # eigenvalues of rho (sy x sy) rho* (sy x sy), largest minus the rest.
+    m = np.moveaxis(state.amps.reshape(2, 2, 2), traced, 2).reshape(4, 2)
+    rho = m @ m.conj().T
+    ev = np.linalg.eigvals(rho @ _SIGMA_YY @ rho.conj() @ _SIGMA_YY)
+    lam = np.sort(np.sqrt(np.clip(ev.real, 0.0, None)))[::-1]
+    return max(0.0, lam[0] - lam[1:].sum()) ** 2
+
+
+def test_three_qubit_link_to_pair_and_three_tangles():
+    # The paper's three-qubit link in Coffman-Kundu-Wootters form: the
+    # leading qubit's E is C^2_AB + C^2_AC + tau_ABC.
+    for k in range(1000):
+        s = random_state(3, 2501, k)
+        split = _wootters_c2(s, 2) + _wootters_c2(s, 1) + three_tangle(s)
+        assert abs(e_measure(s)[0] - split) < 1e-6
+    for s, expected in ((ghz_state(3), (0.0, 0.0, 1.0)), (w_state(3), (4 / 9, 4 / 9, 0.0))):
+        got = (_wootters_c2(s, 2), _wootters_c2(s, 1), three_tangle(s))
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12), got
+
+
 def test_tau_one_rest_range_and_permutation():
     for n in (2, 3, 4):
         for k in range(50):
