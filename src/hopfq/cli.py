@@ -7,8 +7,9 @@ Subcommands:
     sample         CSV of measures over Haar-random states (fixed seed)
     zero-divisors  basis zero-divisor census and the basis product table
 
-Exit codes: 0 success, 1 parse error, 2 invalid input or state or unwritable
-output (standard output or --out), 3 numeric failure, 4 mismatch under --strict.
+Output goes to standard output or --out; error lines go only to standard error.
+Exit codes: 0 success, 1 parse error, 2 usage error, invalid input or state, or
+unwritable output, 3 numeric failure, 4 mismatch under --strict.
 """
 
 import argparse
@@ -28,36 +29,26 @@ EXIT_NUMERIC = 3
 EXIT_STRICT = 4
 
 
-def _emit(chunks, out_path):
-    """Write an iterable of strings to out_path, or to standard output.  A
-    write or flush that fails on either is one error line and exit 2."""
+def _write(stream, chunks):
+    """The one writer to a standard stream.  None (a closed descriptor) fails with EBADF;
+    a failed stream's descriptor, if any, then points at os.devnull for the exit flush."""
     try:
-        if out_path is not None:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-        elif sys.stdout is None:  # Python's stand-in for a closed descriptor
+        if stream is None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        else:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        return EXIT_OK
-    except OSError as exc:
-        if out_path is None:
-            _silence(sys.stdout)
-        where = "standard output" if out_path is None else out_path
-        try:
-            print(f"error: cannot write {where}: {exc}", file=sys.stderr, flush=True)
-        except OSError:  # standard error may be that pipe too
-            _silence(sys.stderr)
-        return EXIT_STATE
+        stream.writelines(chunks)
+        stream.flush()
+    except OSError:
+        with contextlib.suppress(AttributeError, OSError):  # None and io.StringIO have none
+            fd = stream.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        raise
 
 
-def _silence(stream):
-    """Point a failed stream's descriptor, if it has one, at os.devnull, so
-    the interpreter's flush at exit cannot fail on it again."""
-    with contextlib.suppress(AttributeError, OSError):  # None and io.StringIO have none
-        fd = stream.fileno()
-        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+def _fail(message, code):
+    """The one writer of an error line, to standard error; returns code."""
+    with contextlib.suppress(OSError):  # closed, or the pipe standard output failed on
+        _write(sys.stderr, [f"error: {message}\n"])
+    return code
 
 
 def cmd_analyze(args):
@@ -148,24 +139,33 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Some Pythons' argparse drop `--` as the value in `--name=--` and store
+    # [], past type= and choices=.  No option takes nargs, so [] is only that.
+    for name in [key for key, value in vars(args).items() if value == []]:
+        parser.error(f"argument --{name}: expected one argument")
     if args.func is cmd_zero_divisors and args.level is not None and not args.table:
         parser.error("zero-divisors: --level applies only with --table")
-    # The one place output is written and a typed error becomes an exit code.
-    # An except clause's class is read only when an exception reaches it, so
-    # a command that succeeds loads no module for this ladder (zero-divisors
-    # needs no numpy); _emit catches its own OSError for that reason.
+    # The one place output is written and an error becomes its exit code.  An
+    # except clause's class is read only when an exception reaches it, so
+    # OSError comes first, so a census whose write fails loads no braket and no numpy.
+    # Only writes raise OSError here; read_state_file makes its own StateError.
     try:
         chunks, code = args.func(args)
-        return _emit(chunks, args.out) or code
+        if args.out is None:
+            _write(sys.stdout, chunks)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        return code
+    except OSError as exc:
+        where = "standard output" if args.out is None else args.out
+        return _fail(f"cannot write {where}: {exc}", EXIT_STATE)
     except braket.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _fail(exc, EXIT_PARSE)
     except states.StateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STATE
+        return _fail(exc, EXIT_STATE)
     except ArithmeticError as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(f"numeric failure: {exc}", EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import errno
@@ -392,6 +393,75 @@ def test_standard_output_closed():
     _assert_one_write_error(result.returncode, result.stderr)
 
 
+_CLOSED_STDERR = (
+    (["analyze", "--state", "|0"], 1), (["verify-paper", "--out", "missing/x"], 2),
+    (["zero-divisors"], 0),
+)
+_CLOSED_STDERR_IDS = ["parse-error", "unwritable-out", "census"]
+
+
+@pytest.mark.parametrize("argv, code", _CLOSED_STDERR, ids=_CLOSED_STDERR_IDS)
+def test_standard_error_none_in_process(capsys, monkeypatch, tmp_path, argv, code):
+    # Python sets sys.stderr to None when descriptor 2 is closed: the error
+    # line is dropped, never sent to standard output, and the exit code stays.
+    monkeypatch.chdir(tmp_path)
+    expected = _run(capsys, *argv)[1]
+    monkeypatch.setattr(sys, "stderr", None)
+    assert _run(capsys, *argv)[:2] == (code, expected)
+    assert (expected == "") == (code != 0)
+
+
+@pytest.mark.parametrize("argv, code", _CLOSED_STDERR, ids=_CLOSED_STDERR_IDS)
+def test_standard_error_closed(capsys, tmp_path, argv, code):
+    # sys.executable itself, not a launcher script: a shim such as pyenv's
+    # reopens descriptor 2, and Python would then see a stream, not None.
+    expected = _run(capsys, *argv)[1] if code == 0 else ""
+    cmd, env = _command(*argv)
+    result = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *cmd], env=env, cwd=tmp_path,
+                            stdout=subprocess.PIPE, timeout=120)
+    assert (result.returncode, result.stdout.decode()) == (code, expected)
+
+
+def _drops_dashes():
+    # Whether this Python's argparse drops `--` as the value in `--x=--` and
+    # stores [] (3.11.7 does), past type= and choices=.
+    probe = argparse.ArgumentParser()
+    probe.add_argument("--x")
+    return probe.parse_args(["--x=--"]).x == []
+
+
+# Each command line ends in the option whose value is `--`.
+_DASH_VALUES = (
+    ["analyze", "--state=--"], ["analyze", "--state=|01>", "--qubit=--"],
+    ["analyze", "--state=|01>", "--format=--"], ["verify-paper", "--format=--"],
+    ["verify-paper", "--out=--"], ["sample", "--count=1", "--qubits=--"],
+    ["sample", "--qubits=2", "--count=--"], ["sample", "--qubits=2", "--count=1", "--seed=--"],
+    ["zero-divisors", "--table", "--level=--"],
+)
+
+
+@pytest.mark.parametrize("argv", _DASH_VALUES, ids=" ".join)
+def test_option_valued_dashes(capsys, monkeypatch, tmp_path, argv):
+    # Where argparse keeps `--` as the value, `--out=--` writes a file of that
+    # name: the run is in an empty directory.
+    monkeypatch.chdir(tmp_path)
+    if _drops_dashes():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        name = argv[-1].split("=")[0]
+        assert exc.value.code == 2
+        assert f"argument {name}: expected one argument" in capsys.readouterr().err
+        return
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2 and "usage:" in capsys.readouterr().err, argv
+        return
+    assert code in (0, 1, 2, 3, 4), argv
+    if code in (1, 2, 3):
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 # Inputs for the typed-errors properties: state text over the parser's fuzz
 # alphabet, state documents (JSON of any part type, raw text, deep nesting),
 # make_state arguments and format_state digits.
@@ -428,40 +498,65 @@ def _has_pun(amps):
     return isinstance(amps, str) or any(isinstance(x, (bool, str, bytes)) for x in amps)
 
 
+# `--`, `-` and the empty string: any option _argv builds may take one.
+_ODD_VALUES = st.sampled_from(("--", "-", ""))
+
+
+def _option(data, name, values):
+    return f"--{name}={data.draw(values | _ODD_VALUES)}"
+
+
 def _argv(data, directory):
     # One command line over the four subcommands with bounded flag values.
     command = data.draw(st.sampled_from(("analyze", "verify-paper", "sample", "zero-divisors")))
     if command == "analyze":
-        state = data.draw(_STATE_TEXTS)
+        state = data.draw(_STATE_TEXTS | _ODD_VALUES)
         if data.draw(st.booleans()):
             state = str(directory / "state.json")
             pathlib.Path(state).write_text(data.draw(_STATE_DOCS), encoding="utf-8")
-        argv = [command, f"--state={state}", f"--qubit={data.draw(st.integers(-2, 5))}"]
+        argv = [command, f"--state={state}", _option(data, "qubit", st.integers(-2, 5))]
         argv += data.draw(st.sampled_from(([], ["--normalize"])))
-        argv += data.draw(st.sampled_from(([], ["--format=csv"], ["--format=xml"])))
+        if data.draw(st.booleans()):
+            argv.append(_option(data, "format", st.sampled_from(("csv", "xml"))))
     elif command == "verify-paper":
         argv = [command] + data.draw(st.sampled_from(([], ["--strict"])))
-        argv += data.draw(st.sampled_from(([], ["--format=json"], ["--format=csv"])))
+        if data.draw(st.booleans()):
+            argv.append(_option(data, "format", st.sampled_from(("json", "csv"))))
     elif command == "sample":
-        argv = [command, f"--qubits={data.draw(st.integers(0, 5))}",
-                f"--count={data.draw(st.integers(-2, 50))}",
-                f"--seed={data.draw(st.integers(-3, 2**70))}"]
+        argv = [command, _option(data, "qubits", st.integers(0, 5)),
+                _option(data, "count", st.integers(-2, 50)),
+                _option(data, "seed", st.integers(-3, 2**70))]
     else:
         argv = [command] + data.draw(st.sampled_from(([], ["--table"])))
-        argv += [f"--level={data.draw(st.integers(-1, 5))}"]
-    out = data.draw(st.sampled_from((None, "out.txt", "missing/out.txt")))
-    return argv if out is None else argv + [f"--out={directory / out}"]
+        argv.append(_option(data, "level", st.integers(-1, 5)))
+    if data.draw(st.booleans()):
+        argv.append(_option(data, "out", st.sampled_from(("out.txt", "missing/out.txt")).map(
+            lambda out: directory / out)))
+    return argv
+
+
+@contextlib.contextmanager
+def _working_directory(path):
+    # contextlib.chdir, which Python 3.10 lacks.
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_main_ends_in_a_documented_exit(tmp_path_factory, data):
     # Exit 0-4 as documented, or argparse's usage exit 2: no other exception
-    # and no RuntimeWarning.
-    argv = _argv(data, tmp_path_factory.getbasetemp())
+    # and no RuntimeWarning.  The run is in the base directory, where an
+    # `--out=--` or `--out=-` that argparse keeps writes a file of that name.
+    directory = tmp_path_factory.getbasetemp()
+    argv = _argv(data, directory)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
+    with _working_directory(directory), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
             code = cli.main(argv)

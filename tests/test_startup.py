@@ -13,10 +13,11 @@ import hopfq
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Run in a fresh interpreter with warnings as errors: the package's modules
-# after `import hopfq.cli`, then the census and the product table, and the
-# census into a stream on a full device, whose write error loads no numpy.
+# after `import hopfq.cli`, then the census and the product table, the census
+# into a stream on a full device, whose write error loads no numpy, and
+# `--level=--`, argparse's usage error whichever way argparse reads the value.
 SCRIPT = """
-import contextlib, os, sys, types
+import contextlib, io, os, sys, types
 import hopfq, hopfq.cli
 
 names = ("cdnum", "states", "braket", "fibration", "tangles", "reporting", "cli")
@@ -31,6 +32,13 @@ assert hopfq.cli.main(["zero-divisors", "--table", "--level", "2"]) == 0
 if os.path.exists("/dev/full"):
     with open("/dev/full", "w") as full, contextlib.redirect_stdout(full):
         assert hopfq.cli.main(["zero-divisors"]) == 2
+with contextlib.redirect_stderr(io.StringIO()):
+    try:
+        hopfq.cli.main(["zero-divisors", "--level=--"])
+    except SystemExit as exc:
+        assert exc.code == 2, exc.code
+    else:
+        raise AssertionError("zero-divisors --level=-- ran")
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 assert not loaded, loaded
 """
