@@ -115,36 +115,37 @@ def build_parser():
     p.add_argument("--qubit", type=int, default=0, help="qubit to bring into the leading role")
     p.add_argument("--normalize", action="store_true", help="rescale input to unit norm")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, parser=p)
 
     p = sub.add_parser("verify-paper", help="published-example conformance table", parents=[out])
     p.add_argument("--strict", action="store_true", help="exit 4 if any row mismatches")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_verify_paper)
+    p.set_defaults(func=cmd_verify_paper, parser=p)
 
     p = sub.add_parser("sample", help="measure statistics over random states", parents=[out])
     p.add_argument("--qubits", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, parser=p)
 
     p = sub.add_parser("zero-divisors", help="zero-divisor census / product table", parents=[out])
     p.add_argument("--table", action="store_true", help="emit the basis product table as CSV")
     p.add_argument("--level", type=int, choices=range(cdnum.MAX_LEVEL + 1),
                    help=f"algebra level for --table (default {cdnum.MAX_LEVEL})")
-    p.set_defaults(func=cmd_zero_divisors)
+    p.set_defaults(func=cmd_zero_divisors, parser=p)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # Some Pythons' argparse drop `--` as the value in `--name=--` and store
     # [], past type= and choices=.  No option takes nargs, so [] is only that.
+    # It and a --level without --table are the command's usage errors, so the
+    # command's own parser reports them, as argparse reports its own.
     for name in [key for key, value in vars(args).items() if value == []]:
-        parser.error(f"argument --{name}: expected one argument")
+        args.parser.error(f"argument --{name}: expected one argument")
     if args.func is cmd_zero_divisors and args.level is not None and not args.table:
-        parser.error("zero-divisors: --level applies only with --table")
+        args.parser.error("--level applies only with --table")
     # The one place output is written and an error becomes its exit code.  An
     # except clause's class is read only when an exception reaches it, so
     # OSError comes first, so a census whose write fails loads no braket and no numpy.

@@ -21,7 +21,7 @@ e_complement is the headline E in reports.
 
 import numpy as np
 
-from .cdnum import CDElement, _conj_coeffs, _mul, _norm_sq, _raising, _slot_sums
+from .cdnum import CDElement, _conj_coeffs, _mul, _norm_sq, _raising, _sign_rows, _slot_sums
 from .states import ShapeError, _encode_pairs
 
 E_SNAP_WINDOW = 1e-9
@@ -155,25 +155,14 @@ def hopf_quotient(state):
     if n not in _QUOTIENT_BLOCKS:
         raise ShapeError("quotient is defined for 2..4 qubits")
     den = _norm_sq(a[1 << (n - 1) :])
-    return _on_units(n, _QUOTIENT_BLOCKS[n](a)), den
-
-
-def _on_units(level, blocks):
-    """The element sum_k x_k * i_(k*step), step = 2**level // len(blocks),
-    where block k holds the leading coefficients of x_k.
-
-    Row k of x holds x_k and row k of units holds i_(k*step); _mul takes the
-    row products and _slot_sums adds them.  No block is longer than the
-    step, so each coefficient of the sum is one product plus zeros: exact,
-    but for the sign of a zero.
-    """
-    x = np.zeros((len(blocks), 1 << level))
-    units = np.zeros_like(x)
-    step = (1 << level) // len(blocks)
-    for k, block in enumerate(blocks):
-        x[k, : len(block)] = block
-        units[k, k * step] = 1.0
-    return CDElement(level, _slot_sums(_mul(x, units)))
+    # Block k holds the step coefficients of x_k, the factor of i_(k*step),
+    # and x_k[j] * i_j * i_(k*step) = S[j][k*step] * x_k[j] * i_(k*step+j):
+    # the sum reads its signs off the table.  Adding 0.0 makes a -0.0 +0.0.
+    blocks = _QUOTIENT_BLOCKS[n](a)
+    step = (1 << n) // len(blocks)
+    rows = _sign_rows(n)
+    signs = [rows[j][k * step] for k in range(len(blocks)) for j in range(step)]
+    return CDElement(n, np.concatenate(blocks) * signs + 0.0), den
 
 
 def _ball(bc):

@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from .braket import parse_amplitudes, parse_state
+from .braket import parse_amplitudes
 from .fibration import (
     _at_origin,
     _ball,
@@ -23,7 +23,7 @@ from .fibration import (
     base_coordinates,
 )
 from .states import (_FRONT, QubitState, _check_natural, _check_qubit_count,
-                     _random_amplitudes, bring_to_front)
+                     _random_amplitudes, bring_to_front, make_state)
 from .tangles import (
     _classify_three,
     _separable_rows,
@@ -230,12 +230,12 @@ def conformance_rows():
     density-matrix tau oracle is computed independently of the pair encoding.
     Every row is read from its state's analysis report.
     """
-    states = [parse_state(text, normalize=True) for _, text in PUBLISHED_STATES]
+    parsed = [parse_amplitudes(text) for _, text in PUBLISHED_STATES]
+    states = [make_state(n, amps, normalize=True) for n, amps in parsed]
     # The published prefactor 1/sqrt(2*sqrt(10)) does not normalize Phi2
     # (squared norm 2*sqrt(10) ~= 6.325), so it is evaluated twice: exactly
     # as printed, and rescaled to unit norm.
-    _, raw = parse_amplitudes(PUBLISHED_STATES[4][1])
-    states.insert(4, QubitState._trusted(4, raw / np.sqrt(2.0 * np.sqrt(10.0))))
+    states.insert(4, QubitState._trusted(4, parsed[4][1] / np.sqrt(2.0 * np.sqrt(10.0))))
     rows = []
     for state, (label, paper_value, note) in zip(states, _CLAIMS):
         r = analysis_report(state)

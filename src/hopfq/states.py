@@ -3,10 +3,11 @@
 Qubit 0 is the most significant bit: the amplitude of |b0 b1 ... b(n-1)> sits
 at index b0*2**(n-1) + ... + b(n-1).  A state maps to a pair (u1, u2) of
 level-n elements; u1 collects the amplitudes with qubit 0 in |0>, u2 those
-with qubit 0 in |1>.  Amplitude k occupies complex slot (k mod 2**(n-1)) of
-its half, conjugated in the even-parity slots described at _PAIR_SIGNS below
-so that the base-map coordinates reproduce the closed-form entanglement
-results for every qubit count.
+with qubit 0 in |1>.  Amplitude k enters its half on complex slot
+j = k mod 2**(n-1) as the product a_j * i_(2j), a_j = re + im*i_1, so each
+half is u = sum_j a_j * i_(2j) and its signs are read off the algebra's sign
+table.  Under cdnum's doubling rule that conjugates the slots j with a
+nonzero, even number of set bits.
 """
 
 import json
@@ -15,7 +16,8 @@ import os
 import numpy as np
 
 from .cdnum import (
-    MAX_LEVEL, CDElement, _is_int, _is_pun, _mul, _norm_sq, _pow2_scaled, _slot_sums,
+    MAX_LEVEL, CDElement, _is_int, _is_pun, _mul, _norm_sq, _pow2_scaled, _sign_rows,
+    _slot_sums,
 )
 
 # n qubits encode at level n.
@@ -140,19 +142,11 @@ class PairEncoding:
         self.u2 = u2
 
 
-# Complex slot j of a half stores the amplitude conjugated exactly when j has
-# an even, nonzero number of set bits (slot 3 at n = 3; slots 3, 5, 6 at
-# n = 4).  This parity pattern is forced by requiring the scalar complex slot
-# of u2 * conj(u1) to accumulate sum_k a[2nd half][k] * conj(a[1st half][k])
-# uniformly across slots, which makes the base-map invariant equal
-# 4*det(rho) of the leading qubit and sends every one-vs-rest product state
-# to the boundary sphere (both facts are locked in by the test suite).
-# _PAIR_SIGNS[n] holds the rule as signs on a half's interleaved (re, im)
-# coefficients: -1 on the imaginary part of each conjugated slot, +1 elsewhere.
+# Slot k of a half holds a_k * i_(2k): its real part on i_(2k), its
+# imaginary part on i_1 * i_(2k) = S[1][2k] * i_(2k+1).  _PAIR_SIGNS[n] holds
+# those signs on a half's interleaved (re, im) coefficients.
 _PAIR_SIGNS = {
-    n: np.array([
-        [1.0, -1.0 if j and bin(j).count("1") % 2 == 0 else 1.0] for j in range(1 << (n - 1))
-    ]).ravel()
+    n: np.array([[1.0, _sign_rows(n)[1][2 * k]] for k in range(1 << (n - 1))]).ravel()
     for n in range(1, MAX_QUBITS + 1)
 }
 

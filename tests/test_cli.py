@@ -449,8 +449,10 @@ def test_option_valued_dashes(capsys, monkeypatch, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         name = argv[-1].split("=")[0]
+        err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert f"argument {name}: expected one argument" in capsys.readouterr().err
+        assert err.startswith(f"usage: hopfq {argv[0]} "), err
+        assert f"hopfq {argv[0]}: error: argument {name}: expected one argument" in err
         return
     try:
         code = cli.main(argv)
@@ -746,8 +748,11 @@ def test_zero_divisor_level_needs_table(capsys):
     # and --table alone is the level-4 table.
     with pytest.raises(SystemExit) as exc:
         cli.main(["zero-divisors", "--level", "2"])
+    err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert "--level applies only with --table" in capsys.readouterr().err
+    # The usage line and the error are the subcommand's, as argparse's own are.
+    assert err.startswith("usage: hopfq zero-divisors "), err
+    assert "\nhopfq zero-divisors: error: --level applies only with --table\n" in err
     assert _run(capsys, "zero-divisors", "--table") == _run(
         capsys, "zero-divisors", "--table", "--level", "4"
     )

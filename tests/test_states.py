@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hopfq.cdnum import CDElement, basis, cd_inverse, cd_norm_sq, complex_pairs, one, zero
+from hopfq.cdnum import (
+    CDElement, basis, cd_inverse, cd_mul, cd_norm_sq, complex_pairs, from_complex_pairs, one, zero,
+)
 from hopfq.states import (
     DegenerateStateError,
     MAX_QUBITS,
@@ -102,6 +104,33 @@ def test_encoding_conjugates_even_parity_slots():
                 if j > 0 and bin(j).count("1") % 2 == 0:
                     want = np.conj(want)
                 assert abs(slots[j] - want) == 0.0
+
+
+# Haar states, and sparse states whose parts are zeros of both signs or a few
+# values, normalized.
+_SPARSE_PART = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5))
+_PRODUCT_FORM_STATES = st.builds(
+    random_state, st.integers(1, 4), st.integers(0, 2**32), st.integers(0, 100)
+) | st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(_SPARSE_PART, _SPARSE_PART), min_size=1 << n, max_size=1 << n)
+    .filter(lambda parts: any(map(any, parts)))
+    .map(lambda parts: make_state(n, [complex(*p) for p in parts], normalize=True))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PRODUCT_FORM_STATES)
+def test_encoding_is_the_product_form(state):
+    # Each half is u = sum_k a_k * i_(2k), a_k = re + im*i_1 the half's k-th
+    # amplitude, with the products taken in the algebra.
+    n, half = state.n, 1 << (state.n - 1)
+    enc = encode_pair(state)
+    for lo, u in ((0, enc.u1), (half, enc.u2)):
+        terms = [
+            cd_mul(from_complex_pairs(n, [state.amps[lo + k]] + [0] * (half - 1)), basis(n, 2 * k))
+            for k in range(half)
+        ]
+        assert np.array_equal(u.coeffs, sum(terms, zero(n)).coeffs)
 
 
 def test_decode_round_trip_exact():
