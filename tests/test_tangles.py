@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,19 @@ def test_hyperdeterminant_matches_quartic_polynomial():
         rhs = -_cayley_quartic(s.amps)
         assert abs(lhs - rhs) < 1e-12
 
+
+
+def test_tangles_hash_the_same_on_every_cpu():
+    # sha256 over the concurrence of 2,000 two-qubit and the hyperdeterminant
+    # of 2,000 three-qubit random states.  A kernel that sums these terms in
+    # another order changes this digest, and must re-pin it.
+    digest = hashlib.sha256()
+    for k in range(2000):
+        digest.update(np.float64(concurrence(random_state(2, 2026, k))).tobytes())
+        digest.update(np.complex128(hyperdeterminant_222(random_state(3, 2026, k))).tobytes())
+    assert digest.hexdigest() == (
+        "bf45d9134fe57e68e5359d940b015585added5fcc961eb987e251668a4ea984b"
+    )
 
 def test_three_tangle_examples():
     assert three_tangle(w_state(3)) < 1e-12
