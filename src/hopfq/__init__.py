@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "tangles": (
         "classify_three", "concurrence", "hyperdeterminant_222", "partial_trace_to_single",
-        "separable_one_rest", "tau_one_rest", "three_tangle", "two_tangles",
+        "pair_tangles", "separable_one_rest", "tau_one_rest", "three_tangle", "two_tangles",
     ),
     "reporting": (
         "ConformanceRow", "analysis_report", "analyze_state", "conformance_rows",

@@ -27,9 +27,9 @@ from .states import (_FRONT, QubitState, _check_natural, _check_qubit_count,
 from .tangles import (
     _classify_three,
     _separable_rows,
+    _spin_flip_gram,
     _tau_first,
-    concurrence,
-    three_tangle,
+    _three_qubit_tangles,
 )
 
 MATCH_TOL = 1e-3
@@ -63,12 +63,17 @@ def analysis_report(state):
         # Row q of fronts is the state with qubit q brought to the front.
         fronts = state.amps[_FRONT[n]]
         report["tau_one_rest"] = _tau_first(fronts).tolist()
+    if n in (2, 3):
+        # One spin-flip Gram per front row gives every tangle below.
+        gram = _spin_flip_gram(fronts)
     if n == 2:
-        report["concurrence"] = concurrence(state)
+        report["concurrence"] = abs(gram[0, 0, 0].item())
     if n == 3:
-        report["three_tangle"] = three_tangle(state)
+        three, pairs = _three_qubit_tangles(gram)
+        report["three_tangle"] = three
         # two_tangles(state) is the one-vs-rest tau of each qubit: reuse it.
         report["two_tangles"] = list(report["tau_one_rest"])
+        report["pair_tangles"] = list(pairs)
     if n >= 2:
         report["separable"] = _separable_rows(fronts.reshape(n, 2, -1)).tolist()
     if n == 3:
@@ -211,9 +216,11 @@ _CLAIMS = (
     ("Bell (2 qubits)", 1.0,
      "equals concurrence squared (oracle column holds concurrence^2 here)"),
     ("GHZ (3 qubits)", 1.0,
-     "three-tangle {three_tangle:.6g}, two-tangles all 1, classified {classification}"),
+     "one-vs-rest {tau_one_rest[0]:.6g} = pair tangles {pair_tangles[0]:.3g} + "
+     "{pair_tangles[1]:.3g} + three-tangle {three_tangle:.6g}; classified {classification}"),
     ("W (3 qubits)", 8.0 / 9.0,
-     "three-tangle {three_tangle:.3g} (vanishes), two-tangles all 8/9, "
+     "one-vs-rest {tau_one_rest[0]:.6g} = pair tangles {pair_tangles[0]:.6g} + "
+     "{pair_tangles[1]:.6g} + three-tangle {three_tangle:.3g} (vanishes); "
      "classified {classification}"),
     ("|0>xBell (3 qubits)", 0.0,
      "leading qubit separable; remaining pair maximally entangled "

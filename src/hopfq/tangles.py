@@ -12,7 +12,15 @@ from .states import _FRONT, ShapeError, bring_to_front
 
 SEP_TOL = 1e-9
 
-_EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# sigma_y (x) sigma_y sends pair amplitude |a> to (-1)**popcount(a) |a XOR 3>,
+# so the Gram needs the complex products (-1)**a v_k[a] v_l[a XOR 3] for
+# a = 0, 1.  In a row's float view pair amplitude a sits at 2a (re) and
+# 2a + 1 (im).  v_l gathered at _FLIP_GATHER[a, i] and scaled by
+# _FLIP_SIGNS[a, i] is the pair that part i (re, then im) of v_k[a]
+# multiplies: (-1)**a (re, im) of v_l[a XOR 3] for i = 0 and
+# (-1)**a (-im, re) for i = 1.
+_FLIP_GATHER = np.array([[[6, 7], [7, 6]], [[4, 5], [5, 4]]])
+_FLIP_SIGNS = np.array([[[1.0, 1.0], [-1.0, 1.0]], [[-1.0, -1.0], [1.0, -1.0]]])
 
 
 def _front_rows(state, qubit):
@@ -27,31 +35,95 @@ def partial_trace_to_single(state, keep):
     return np.array([[aa, complex(re, -im)], [complex(re, im), bb]])
 
 
+def _spin_flip_gram(rows):
+    """The spin-flip Gram matrix of each row of (N, 2**n) amplitudes, n >= 2.
+
+    With v_k the 4-vector of the row's last two qubits when the others read
+    k, G_kl = sum_a (-1)**popcount(a) v_k[a] v_l[a XOR 3], returned as an
+    (m, m, N) complex array, m = 2**(n-2).  Terms a and a XOR 3 of G_kl are
+    terms a XOR 3 and a of G_lk, so G = H + H^T with
+    H_kl = v_k[0] v_l[3] - v_k[1] v_l[2].  G is exactly symmetric, and at
+    n = 2 exactly 2(v[0] v[3] - v[1] v[2]).  Every step is elementwise, in
+    real products (numpy's complex multiply may fuse), so a row's bits do
+    not depend on its batch or on the CPU's vector loops.
+    """
+    count = len(rows)
+    v = np.ascontiguousarray(rows).view(np.float64).reshape(count, -1, 8)
+    # p[N, k, l, a, i, j]: part i of v_k[a] times entry (i, j) of its flip row.
+    x = v[:, :, :4].reshape(count, -1, 1, 2, 2, 1)
+    p = x * (v[:, :, _FLIP_GATHER] * _FLIP_SIGNS)[:, None]
+    products = p[..., 0, :] + p[..., 1, :]
+    h = products[..., 0, :] + products[..., 1, :]
+    return (h + h.swapaxes(1, 2)).view(np.complex128)[..., 0].transpose(1, 2, 0)
+
+
+def _det(gram):
+    """det [[a, b], [c, d]] of Python complex numbers, in real products (a
+    compiler may fuse those of a complex multiply)."""
+    (a, b), (c, d) = gram
+    return complex((a.real * d.real - b.real * c.real) - (a.imag * d.imag - b.imag * c.imag),
+                   (a.real * d.imag - b.real * c.imag) + (a.imag * d.real - b.imag * c.real))
+
+
+def _three_qubit_tangles(gram):
+    """(three_tangle, (tau_AB, tau_AC, tau_BC)) from the (2, 2, 3) Grams of
+    the three-qubit front rows A, B and C.
+
+    Row C is pair (A, B) indexed by C, the hyperdeterminant's own layout, and
+    gives the three-tangle 4|det G|.  Each pair tangle is
+    sum |G_kl|**2 - 2|det G| of the row of the third qubit, the squares
+    summed in index order, re**2 then im**2, as cdnum._norm_sq sums.
+    """
+    taus = []
+    for row in gram.transpose(2, 0, 1).tolist():
+        (a, b), (c, d) = row
+        det = abs(_det(row))
+        re = ((a.real * a.real + b.real * b.real) + c.real * c.real) + d.real * d.real
+        im = ((a.imag * a.imag + b.imag * b.imag) + c.imag * c.imag) + d.imag * d.imag
+        taus.append(((re + im) - 2.0 * det, det))
+    (bc, _), (ac, _), (ab, det_c) = taus
+    return 4.0 * det_c, (ab, ac, bc)
+
+
 def concurrence(state):
-    """Two-qubit concurrence 2|a00*a11 - a01*a10|."""
+    """Two-qubit concurrence |G| = 2|a00*a11 - a01*a10|, G the 1 x 1
+    spin-flip Gram."""
     if state.n != 2:
         raise ShapeError("concurrence is defined for 2 qubits")
-    a = state.amps
-    return 2.0 * float(abs(a[0] * a[3] - a[1] * a[2]))
+    return abs(_spin_flip_gram(state.amps[None])[0, 0, 0].item())
 
 
 def hyperdeterminant_222(state):
     """Hyperdeterminant of the 2x2x2 amplitude tensor (complex scalar).
 
-    Computed as the determinant of the symmetric bilinear form
-    c_kn = eps^il eps^jm a_ijk a_lmn (with eps^01 = 1 = -eps^10), times 1/2.
-    Equal in magnitude to the classical quartic polynomial; see three_tangle.
+    det G of the spin-flip Gram of pair (A, B) indexed by C,
+    G_kl = sum_ij (-1)**(i+j) a_ijk a_(1-i)(1-j)l.  G is the symmetric
+    bilinear form c_kl = eps^ip eps^jq a_ijk a_pql (eps^01 = 1 = -eps^10),
+    and det G is half of eps^ip eps^jq G_ij G_pq.  Equal in magnitude to
+    the classical quartic polynomial; see three_tangle.
     """
     if state.n != 3:
         raise ShapeError("the hyperdeterminant is defined for 3 qubits")
-    a = state.amps.reshape(2, 2, 2)
-    c = np.einsum("il,jm,ijk,lmn->kn", _EPS, _EPS, a, a)
-    return complex(0.5 * np.einsum("il,jm,ij,lm->", _EPS, _EPS, c, c))
+    return _det(_spin_flip_gram(state.amps[_FRONT[3][2]][None])[..., 0].tolist())
 
 
 def three_tangle(state):
     """Genuine three-way tangle: 4 |hyperdeterminant|."""
     return 4.0 * abs(hyperdeterminant_222(state))
+
+
+def pair_tangles(state):
+    """The two-tangles (tau_AB, tau_AC, tau_BC) of a 3-qubit state: the
+    squared concurrence of each two-qubit reduced state (Coffman, Kundu and
+    Wootters), so that tau_AB + tau_AC + three_tangle is qubit A's
+    one-vs-rest tangle.
+
+    Each is sum |G_kl|**2 - 2|det G|, the squared difference of the singular
+    values of the pair's spin-flip Gram indexed by the third qubit.
+    """
+    if state.n != 3:
+        raise ShapeError("pair_tangles is defined for 3 qubits")
+    return _three_qubit_tangles(_spin_flip_gram(state.amps[_FRONT[3]]))[1]
 
 
 def two_tangles(state):

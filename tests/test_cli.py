@@ -252,13 +252,14 @@ def test_verify_csv_parses_to_seven_fields(capsys):
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("text", "f9443ed2cdc4803d798e26eb86e257f41f58a802f22a2b8af8790c3e50334268"),
-    ("csv", "b9fad52fcba55300e12d4a62ca7304e6a942410dedb24eb1cfac5e82b72d48f0"),
-    ("json", "6a65401f96ea1c9140fb2008cca04ae01f7df8be3dfca316be7167e1c10d82bc"),
-])
+    ("text", "1f2d10ceedf00b2e7e91bd7c5d4e91a6cb91cbdc42d143218fe8385dfd5676f7"),
+    ("csv", "e911f7391a5929a20a712708a4e3039150212106e1c718b9f0dc45d15feaebe1"),
+    ("json", "e7f9317b721c40c769bad5b0804d70bf03f794b0f815f11d324dcf6bcde08b6a"),
+], ids=["text", "csv", "json"])
 def test_verify_output_is_pinned(capsys, fmt, digest):
-    # sha256 of the table as the hand-built rows, one scalar call per
-    # quantity, first wrote it: every float's repr, note and verdict
+    # sha256 of the table: every float's repr, as the hand-built rows, one
+    # scalar call per quantity, first wrote it, every verdict, and the notes,
+    # whose GHZ3 and W3 lines quote the CKW split from the report
     code, out, _ = _run(capsys, "verify-paper", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -695,7 +696,7 @@ def test_cli_contract_digest_is_pinned(tmp_path):
         digest.update(repr((argv, code, out, written)).encode())
     assert commands == {"analyze", "verify-paper", "sample", "zero-divisors"}
     assert codes == {0, 1, 2, 4}
-    assert digest.hexdigest() == "bfd568094e484c68db46a6f1f31985d7127e2ad0899d6d8baed3c27d58e38138"
+    assert digest.hexdigest() == "f828cc150999bf26bfa7b83e4810a70dea76beafe8947125016d0b6571dbbd8d"
 
 
 def test_zero_divisor_census(capsys):

@@ -14,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "ball_map.py": "73d04c2aa080797b77da22dfd5fb3fcdf201ac97d2a58f65399642cfc184d9ab",
     "cayley_dickson_tour.py": "6911127a0064035f29fe82923ee7c7dbf8be8cf79dbcc85128a1bb341f96ae1c",
-    "entanglement_audit.py": "707b9cb200b67ebda28edb5558f9bb06259648f27616da7d74305a6b1d511cbc",
+    "entanglement_audit.py": "15744bfcd52c217ec974016478e7c13090bec8673a6ec0815ce32643e9d03867",
     "hopf_coordinates.py": "da279746b0c734e2e41af45d2a986f973c6482aa897494ba46015a5b5a89844a",
     "state_language.py": "e9247fa4c2a8afe629ef165758c8602da5646a213ef33ff80920871964083043",
 }

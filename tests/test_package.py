@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import types
 
 import hopfq
@@ -14,7 +16,7 @@ EXPORTS = """
     ParseError format_state parse_amplitudes parse_state
     BaseCoordinates ball_coordinates base_coordinates e_measure hopf_quotient is_mes
     classify_three concurrence hyperdeterminant_222 partial_trace_to_single
-    separable_one_rest tau_one_rest three_tangle two_tangles
+    pair_tangles separable_one_rest tau_one_rest three_tangle two_tangles
     ConformanceRow analysis_report analyze_state conformance_rows sample_rows
     sample_table
     __version__
@@ -22,10 +24,43 @@ EXPORTS = """
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 61
+    assert len(EXPORTS) == 62
     assert hopfq.__all__ == EXPORTS
     assert not any(isinstance(getattr(hopfq, name), types.ModuleType) for name in hopfq.__all__)
     assert "cdnum" not in hopfq.__all__ and "states" not in hopfq.__all__
     namespace = {}
     exec("from hopfq import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+
+
+# Calls that would sum floats outside cdnum._slot_sums, in an order numpy or
+# a BLAS chooses.
+_SUMMING_NAMES = {
+    "einsum", "dot", "matmul", "tensordot", "inner", "vdot", "linalg", "prod", "mean",
+    "nansum", "cumsum", "average", "trace",
+}
+
+
+def test_every_float_sum_goes_through_slot_sums():
+    # README's "Pinned bytes": every per-state sum adds in slot order through
+    # cdnum._slot_sums, and hopfq calls no np.linalg.  So no source file
+    # names an einsum, a product or a reduction, uses @, or calls .sum
+    # anywhere but in _slot_sums.
+    found = []
+    for path in sorted(pathlib.Path(hopfq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node): fn.name for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if name in _SUMMING_NAMES:
+                found.append((where, name))
+            if name == "sum" and isinstance(node, ast.Attribute) and not (
+                    path.name == "cdnum.py" and inside.get(id(node)) == "_slot_sums"):
+                found.append((where, ".sum"))
+            if isinstance(getattr(node, "op", None), ast.MatMult):
+                found.append((where, "@"))
+    assert found == []

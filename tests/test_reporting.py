@@ -44,6 +44,7 @@ from hopfq.tangles import (
     _separable_rows,
     classify_three,
     concurrence,
+    pair_tangles,
     separable_one_rest,
     tau_one_rest,
     three_tangle,
@@ -61,7 +62,7 @@ def test_report_keys_by_qubit_count():
     assert list(analysis_report(ghz_state(3)).keys()) == [
         "n", "amplitudes", "delta", "comps", "e_complement", "e_sum",
         "norm_defect", "tau_one_rest", "three_tangle", "two_tangles",
-        "separable", "classification",
+        "pair_tangles", "separable", "classification",
     ]
     assert list(analysis_report(ghz_state(4)).keys()) == [
         "n", "amplitudes", "delta", "comps", "e_complement", "e_sum",
@@ -82,6 +83,7 @@ def test_report_projects_module_outputs():
             assert r["concurrence"] == concurrence(s)
         if n == 3:
             assert r["three_tangle"] == three_tangle(s)
+            assert r["pair_tangles"] == list(pair_tangles(s))
         if n == 4:
             assert tuple(r["ball"]) == ball_coordinates(s)
         amps = np.array([complex(a, b) for a, b in r["amplitudes"]])
@@ -494,4 +496,4 @@ def test_analyze_output_digest_is_pinned():
         digest.update(report_to_csv(report).encode())
         count += 1
     assert count == 231
-    assert digest.hexdigest() == "6a7150417c31e512896c952ad87f5ec1eb40ea2050e433dd5f3aa602d1541dec"
+    assert digest.hexdigest() == "a0dd5120c6811beb371cfcd61c650de8f656bf996cc4f78b3892ad744f480be2"

@@ -1,10 +1,17 @@
+import decimal
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import _Complex
 from hopfq.fibration import ball_coordinates, e_measure, hopf_quotient, is_mes
+from hopfq.reporting import analysis_report
 from hopfq.states import (
+    _FRONT,
     ShapeError,
     StateError,
     basis_state,
@@ -18,9 +25,11 @@ from hopfq.states import (
     w_state,
 )
 from hopfq.tangles import (
+    _spin_flip_gram,
     classify_three,
     concurrence,
     hyperdeterminant_222,
+    pair_tangles,
     partial_trace_to_single,
     separable_one_rest,
     tau_one_rest,
@@ -143,18 +152,107 @@ def test_hyperdeterminant_matches_quartic_polynomial():
         assert abs(lhs - rhs) < 1e-12
 
 
-
 def test_tangles_hash_the_same_on_every_cpu():
-    # sha256 over the concurrence of 2,000 two-qubit and the hyperdeterminant
-    # of 2,000 three-qubit random states.  A kernel that sums these terms in
-    # another order changes this digest, and must re-pin it.
+    # sha256 over the concurrence of 2,000 two-qubit random states, and the
+    # hyperdeterminant and pair tangles of 2,000 three-qubit ones.  A kernel
+    # that sums these terms in another order changes this digest, and must
+    # re-pin it.
     digest = hashlib.sha256()
     for k in range(2000):
         digest.update(np.float64(concurrence(random_state(2, 2026, k))).tobytes())
-        digest.update(np.complex128(hyperdeterminant_222(random_state(3, 2026, k))).tobytes())
+        s = random_state(3, 2026, k)
+        digest.update(np.complex128(hyperdeterminant_222(s)).tobytes())
+        digest.update(np.array(pair_tangles(s)).tobytes())
     assert digest.hexdigest() == (
-        "bf45d9134fe57e68e5359d940b015585added5fcc961eb987e251668a4ea984b"
+        "b4d6db763bffdd9c9dc8de25441e271137377d52df95a99c48eeff601175855d"
     )
+
+
+def _exact_gram(row):
+    # Test-only oracle: the spin-flip Gram of one row of complex amplitudes
+    # (or of (re, im) pairs of Fractions), exactly, as rows of (re, im)
+    # Fraction pairs: G_kl = sum_a (-1)**popcount(a) v_k[a] v_l[a ^ 3].
+    v = [(Fraction(z[0]), Fraction(z[1])) if isinstance(z, tuple)
+         else (Fraction(float(z.real)), Fraction(float(z.imag))) for z in row]
+    m = len(v) // 4
+
+    def entry(k, l):
+        re = im = Fraction(0)
+        for a in range(4):
+            sign = (-1) ** bin(a).count("1")
+            (pr, pi), (qr, qi) = v[4 * k + a], v[4 * l + (a ^ 3)]
+            re += sign * (pr * qr - pi * qi)
+            im += sign * (pr * qi + pi * qr)
+        return re, im
+
+    return [[entry(k, l) for l in range(m)] for k in range(m)]
+
+
+def _exact_det(gram):
+    (a, b), (c, d) = gram
+    return (a[0] * d[0] - a[1] * d[1] - (b[0] * c[0] - b[1] * c[1]),
+            a[0] * d[1] + a[1] * d[0] - (b[0] * c[1] + b[1] * c[0]))
+
+
+def _exact_abs(z):
+    # |re + i im| of Fractions, to 60 digits
+    square = z[0] * z[0] + z[1] * z[1]
+    with decimal.localcontext(decimal.Context(prec=60)):
+        return (decimal.Decimal(square.numerator) / decimal.Decimal(square.denominator)).sqrt()
+
+
+def _error(value, exact):
+    with decimal.localcontext(decimal.Context(prec=60)):
+        return float(abs(decimal.Decimal(value) - exact))
+
+
+def test_tangles_within_the_parents_error_of_exact():
+    # The worst error against the exact Gram over the float inputs, for the
+    # concurrence of random_state(2, 2501, k) and the three-tangle of
+    # random_state(3, 2501, k), k < 1000.  The ceilings are the worst errors
+    # measured at the parent (1.9516e-16 and 2.8689e-16), whose concurrence
+    # was the closed form 2|a00 a11 - a01 a10| and whose hyperdeterminant
+    # was an einsum.
+    worst_concurrence = worst_three_tangle = 0.0
+    for k in range(1000):
+        s = random_state(2, 2501, k)
+        (g,), = _exact_gram(s.amps)
+        worst_concurrence = max(worst_concurrence, _error(concurrence(s), _exact_abs(g)))
+        s = random_state(3, 2501, k)
+        exact = 4 * _exact_abs(_exact_det(_exact_gram(s.amps[_FRONT[3][2]])))
+        worst_three_tangle = max(worst_three_tangle, _error(three_tangle(s), exact))
+    assert worst_concurrence <= 1.952e-16
+    assert worst_three_tangle <= 2.869e-16
+
+
+def _gram_reference(row, m):
+    # G = H + H^T with H_kl = v_k[0] v_l[3] - v_k[1] v_l[2], in Python floats.
+    v = [_Complex((float(z.real), float(z.imag))) for z in row]
+    h = [[v[4 * k] * v[4 * l + 3] - v[4 * k + 1] * v[4 * l + 2] for l in range(m)]
+         for k in range(m)]
+    return [[h[k][l] + h[l][k] for l in range(m)] for k in range(m)]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spin_flip_gram_rows_alone_and_as_python_floats(n, rows):
+    # Each row of the Gram is bit for bit the row alone, and equals the
+    # Python-float reference (up to the sign of a zero); G is exactly
+    # symmetric.
+    rng = np.random.default_rng(40 * n + rows)
+    shape = (rows, 1 << n, 2)
+    special = rng.choice([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0], shape)
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-60, 60, shape)
+    amps = np.where(rng.random(shape) < 0.3, special, wide).view(np.complex128)[..., 0]
+    m = 1 << (n - 2)
+    gram = _spin_flip_gram(amps)
+    assert gram.shape == (m, m, rows) and gram.dtype == np.complex128
+    assert gram.tobytes() == gram.transpose(1, 0, 2).tobytes()
+    for row in range(rows):
+        assert _spin_flip_gram(amps[row:row + 1]).tobytes() == gram[..., row:row + 1].tobytes()
+        expected = np.array(_gram_reference(amps[row], m)).view(np.complex128)[..., 0]
+        assert np.array_equal(expected, gram[..., row])
+
 
 def test_three_tangle_examples():
     assert three_tangle(w_state(3)) < 1e-12
@@ -224,14 +322,61 @@ def _wootters_c2(state, traced):
 
 def test_three_qubit_link_to_pair_and_three_tangles():
     # The paper's three-qubit link in Coffman-Kundu-Wootters form: the
-    # leading qubit's E is C^2_AB + C^2_AC + tau_ABC.
+    # leading qubit's E is C^2_AB + C^2_AC + tau_ABC.  pair_tangles gives
+    # the C^2 of the Wootters oracle.
     for k in range(1000):
         s = random_state(3, 2501, k)
-        split = _wootters_c2(s, 2) + _wootters_c2(s, 1) + three_tangle(s)
+        oracle = (_wootters_c2(s, 2), _wootters_c2(s, 1), _wootters_c2(s, 0))
+        assert np.allclose(pair_tangles(s), oracle, rtol=0.0, atol=1e-6)
+        split = oracle[0] + oracle[1] + three_tangle(s)
         assert abs(e_measure(s)[0] - split) < 1e-6
-    for s, expected in ((ghz_state(3), (0.0, 0.0, 1.0)), (w_state(3), (4 / 9, 4 / 9, 0.0))):
+    for s, pairs, tau3 in ((ghz_state(3), (0.0, 0.0, 0.0), 1.0),
+                           (w_state(3), (4 / 9, 4 / 9, 4 / 9), 0.0)):
         got = (_wootters_c2(s, 2), _wootters_c2(s, 1), three_tangle(s))
-        assert np.allclose(got, expected, rtol=0.0, atol=1e-12), got
+        assert np.allclose(got, (*pairs[:2], tau3), rtol=0.0, atol=1e-12), got
+        assert np.allclose(pair_tangles(s), pairs, rtol=0.0, atol=1e-12)
+
+
+def test_pair_tangles_of_w3_are_exactly_four_ninths():
+    # W3 with amplitudes 1 (norm squared 3): each pair's exact Gram has
+    # det G = 0, so its tangle sum |G_kl|^2 - 2|det G| is sum |G_kl|^2,
+    # and the tangles are quartic, so the unit state's are those over 9.
+    w = [(0, 0), (1, 0), (1, 0), (0, 0), (1, 0), (0, 0), (0, 0), (0, 0)]
+    for front in _FRONT[3]:
+        gram = _exact_gram([w[j] for j in front])
+        assert _exact_det(gram) == (0, 0)
+        assert sum(re * re + im * im for line in gram for re, im in line) / 9 == Fraction(4, 9)
+    assert np.allclose(pair_tangles(w_state(3)), [4 / 9] * 3, rtol=0.0, atol=1e-15)
+
+
+# The 16 floats of a sparse 3-qubit state: mostly signed zeros.
+_SPARSE = st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                   min_size=16, max_size=16).filter(lambda parts: any(parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_vs_rest_splits_into_pair_and_three_tangles(data):
+    # CKW: each qubit's one-vs-rest tangle is its two pair tangles plus the
+    # three-tangle, over Haar states and sparse signed-zero ones; the pair
+    # tangles stay put under a Haar one-qubit unitary, and the report holds
+    # the public functions' bits.
+    if data.draw(st.booleans()):
+        s = random_state(3, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 99)))
+    else:
+        s = make_state(3, np.array(data.draw(_SPARSE)).view(np.complex128), normalize=True)
+    ab, ac, bc = pair_tangles(s)
+    tau3 = three_tangle(s)
+    assert abs(e_measure(s)[0] - (ab + ac + tau3)) <= 1e-14
+    for q, (p1, p2) in enumerate(((ab, ac), (ab, bc), (ac, bc))):
+        assert abs(tau_one_rest(s, q) - (p1 + p2 + tau3)) <= 1e-14
+    ops = [np.eye(2)] * 3
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ops[data.draw(st.integers(0, 2))] = _haar_unitary(rng)
+    assert np.allclose(pair_tangles(_apply_local(s, ops)), (ab, ac, bc), rtol=0.0, atol=1e-14)
+    report = analysis_report(s)
+    assert np.array(report["pair_tangles"]).tobytes() == np.array([ab, ac, bc]).tobytes()
+    assert np.float64(report["three_tangle"]).tobytes() == np.float64(tau3).tobytes()
 
 
 def test_tau_one_rest_range_and_permutation():
@@ -286,6 +431,7 @@ _N_SPECIFIC = [
     (concurrence, {2}, ShapeError, "concurrence is defined for 2 qubits"),
     (hyperdeterminant_222, {3}, ShapeError, "the hyperdeterminant is defined for 3 qubits"),
     (three_tangle, {3}, ShapeError, "the hyperdeterminant is defined for 3 qubits"),
+    (pair_tangles, {3}, ShapeError, "pair_tangles is defined for 3 qubits"),
     (two_tangles, {3}, ShapeError, "two_tangles is defined for 3 qubits"),
     (classify_three, {3}, ShapeError, "classification is defined for 3 qubits"),
     (e_measure, {2, 3, 4}, ShapeError, "entanglement measure needs at least 2 qubits"),
