@@ -99,6 +99,20 @@ def _e_values(bc):
     )
 
 
+def _report_fields(state):
+    """The analysis report's base-map fields of one state, in report order:
+    delta and comps, the E values for n >= 2, the ball point and mes at n = 4."""
+    bc = base_coordinates(state)
+    fields = {"delta": bc.delta, "comps": bc.comps.tolist()}
+    if state.n >= 2:
+        fields["e_complement"], fields["e_sum"], fields["norm_defect"] = _e_values(bc)
+    if state.n == 4:
+        ball = _ball(bc)
+        fields["ball"] = list(ball)
+        fields["mes"] = _at_origin(ball)
+    return fields
+
+
 def e_measure(state):
     """Both E expressions plus the norm defect: (e_complement, e_sum, defect)."""
     if state.n < 2:

@@ -15,22 +15,10 @@ import re
 import numpy as np
 
 from .braket import parse_amplitudes
-from .fibration import (
-    _at_origin,
-    _ball,
-    _base_coordinates,
-    _e_values,
-    base_coordinates,
-)
-from .states import (_FRONT, QubitState, _check_natural, _check_qubit_count,
-                     _random_amplitudes, bring_to_front, make_state)
-from .tangles import (
-    _classify_three,
-    _separable_rows,
-    _spin_flip_gram,
-    _tau_first,
-    _three_qubit_tangles,
-)
+from .fibration import _base_coordinates, _report_fields as _base_fields
+from .states import (QubitState, _check_natural, _check_qubit_count, _random_amplitudes,
+                     bring_to_front, make_state)
+from .tangles import _report_fields as _tangle_fields, _tau_first
 
 MATCH_TOL = 1e-3
 
@@ -40,45 +28,14 @@ def analysis_report(state):
 
     The amplitude list is [[re, im], ...]; coordinate fields are the raw
     base-map values while e_complement / e_sum carry the boundary-snapped
-    measure values.
+    measure values.  fibration and tangles each write their own fields.
     """
-    n = state.n
-    bc = base_coordinates(state)
-    report = {
-        "n": n,
+    return {
+        "n": state.n,
         "amplitudes": state.amps.view(np.float64).reshape(-1, 2).tolist(),
-        "delta": bc.delta,
-        "comps": bc.comps.tolist(),
+        **_base_fields(state),
+        **_tangle_fields(state),
     }
-    if n >= 2:
-        e_comp, e_sum, defect = _e_values(bc)
-        report["e_complement"] = e_comp
-        report["e_sum"] = e_sum
-        report["norm_defect"] = defect
-    if n == 4:
-        ball = _ball(bc)
-        report["ball"] = list(ball)
-        report["mes"] = _at_origin(ball)
-    if n >= 2:
-        # Row q of fronts is the state with qubit q brought to the front.
-        fronts = state.amps[_FRONT[n]]
-        report["tau_one_rest"] = _tau_first(fronts).tolist()
-    if n in (2, 3):
-        # One spin-flip Gram per front row gives every tangle below.
-        gram = _spin_flip_gram(fronts)
-    if n == 2:
-        report["concurrence"] = abs(gram[0, 0, 0].item())
-    if n == 3:
-        three, pairs = _three_qubit_tangles(gram)
-        report["three_tangle"] = three
-        # two_tangles(state) is the one-vs-rest tau of each qubit: reuse it.
-        report["two_tangles"] = list(report["tau_one_rest"])
-        report["pair_tangles"] = list(pairs)
-    if n >= 2:
-        report["separable"] = _separable_rows(fronts.reshape(n, 2, -1)).tolist()
-    if n == 3:
-        report["classification"] = _classify_three(fronts, report["separable"])
-    return report
 
 
 def _flatten(report):

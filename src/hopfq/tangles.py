@@ -169,22 +169,37 @@ def separable_one_rest(state, qubit):
 
 
 def classify_three(state):
-    """Coarse 3-qubit class: 'fully-separable', 'bi-separable', or 'entangled'.
-
-    Tries each qubit as the split-off factor; when one splits, the remaining
-    two-qubit factor decides between bi- and fully separable.
-    """
+    """Coarse 3-qubit class of the separable list: 'entangled' when no qubit
+    factors out, 'fully-separable' when all three do, else 'bi-separable'."""
     if state.n != 3:
         raise ShapeError("classification is defined for 3 qubits")
-    fronts = state.amps[_FRONT[3]]
-    return _classify_three(fronts, _separable_rows(fronts.reshape(3, 2, -1)).tolist())
+    return _classify_three(_separable_rows(state.amps[_FRONT[3]].reshape(3, 2, -1)).tolist())
 
 
-def _classify_three(fronts, separable):
-    # classify_three given the (3, 8) front rows and their separable list.
+def _classify_three(separable):
     if not any(separable):
         return "entangled"
-    # Both rows of the split-off qubit are multiples of the two-qubit rest.
-    if _separable_rows(fronts[separable.index(True)].reshape(2, 2, 2)).all():
-        return "fully-separable"
-    return "bi-separable"
+    return "fully-separable" if all(separable) else "bi-separable"
+
+
+def _report_fields(state):
+    """The analysis report's tangle fields of one state, in report order;
+    none for one qubit."""
+    n = state.n
+    if n == 1:
+        return {}
+    # Row q of fronts is the state with qubit q brought to the front.
+    fronts = state.amps[_FRONT[n]]
+    fields = {"tau_one_rest": _tau_first(fronts).tolist()}
+    if n == 2:
+        fields["concurrence"] = abs(_spin_flip_gram(fronts)[0, 0, 0].item())
+    if n == 3:
+        # One spin-flip Gram per front row gives every tangle below.
+        fields["three_tangle"], pairs = _three_qubit_tangles(_spin_flip_gram(fronts))
+        # two_tangles(state) is the one-vs-rest tau of each qubit: reuse it.
+        fields["two_tangles"] = list(fields["tau_one_rest"])
+        fields["pair_tangles"] = list(pairs)
+    fields["separable"] = _separable_rows(fronts.reshape(n, 2, -1)).tolist()
+    if n == 3:
+        fields["classification"] = _classify_three(fields["separable"])
+    return fields

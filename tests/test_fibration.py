@@ -12,6 +12,7 @@ from hopfq.cdnum import (
     _mul,
     basis,
     cd_conj,
+    cd_inverse,
     cd_mul,
     cd_norm_sq,
     from_complex_pairs,
@@ -31,10 +32,12 @@ from hopfq.fibration import (
 from hopfq.reporting import PUBLISHED_STATES, analysis_report
 from hopfq.states import (
     _FRONT,
+    PairEncoding,
     _encode_pairs,
     basis_state,
     bell_state,
     bring_to_front,
+    decode_pair,
     encode_pair,
     ghz_state,
     make_state,
@@ -44,7 +47,7 @@ from hopfq.states import (
 )
 from hopfq.tangles import _tau_first, concurrence, partial_trace_to_single, tau_one_rest
 from conftest import _Complex
-from test_tangles import _apply_local, _haar_unitary
+from test_tangles import _apply_local, _draw_haar_or_sparse, _haar_unitary
 
 
 def _random_product(n, split, rng):
@@ -396,6 +399,80 @@ def test_quotient_no_global_sign_relation_4():
     ratio = num.coeffs[mask] / ref[mask]
     deviation = float(np.max(np.abs(np.abs(ratio) - 1.0)))
     assert deviation > 0.05
+
+
+# The fibre over the base point of (u1, u2) is {(y, m*y)}, m = u2 * u1^-1, y
+# any nonzero element, scaled to unit norm.  Where the algebra is alternative
+# and its norm multiplicative (n <= 3), (m*y)*conj(y) = m |y|^2 and
+# |m*y| = |m| |y|, so delta and P / |u1|^2 = m are the same all along it.  At
+# n = 2 it is also the orbit {(u1*q, u2*q)} of the unit quaternions q.
+
+
+def _pair_state(n, y, w):
+    # The state of the pair (y, w), scaled to unit norm and decoded.
+    scale = 1.0 / np.sqrt(cd_norm_sq(y) + cd_norm_sq(w))
+    return decode_pair(PairEncoding(n, scale * y, scale * w))
+
+
+def _fibre_point(s, y):
+    enc = encode_pair(s)
+    return _pair_state(s.n, y, cd_mul(cd_mul(enc.u2, cd_inverse(enc.u1)), y))
+
+
+def _orbit_point(s, q):
+    enc = encode_pair(s)
+    return _pair_state(s.n, cd_mul(enc.u1, q), cd_mul(enc.u2, q))
+
+
+def _base_shift(s, t):
+    # The largest change of a base coordinate from state s to state t.
+    a, b = base_coordinates(s), base_coordinates(t)
+    return max(abs(a.delta - b.delta), float(np.max(np.abs(a.comps - b.comps))))
+
+
+def _gaussian_element(rng, n, unit=False):
+    y = CDElement(n, rng.standard_normal(1 << n))
+    return (1.0 / np.sqrt(cd_norm_sq(y))) * y if unit else y
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 3), data=st.data())
+def test_fibre_keeps_the_base_point(n, data):
+    s = _draw_haar_or_sparse(data, n)
+    assume(not encode_pair(s).u1.is_zero())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    assert _base_shift(s, _fibre_point(s, _gaussian_element(rng, n))) <= 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_unit_orbit_keeps_the_base_point_2(data):
+    s = _draw_haar_or_sparse(data, 2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    assert _base_shift(s, _orbit_point(s, _gaussian_element(rng, 2, unit=True))) <= 1e-14
+
+
+def test_unit_orbit_moves_the_base_point_3():
+    # unit octonions are not a group: the orbit leaves the fibre
+    rng = np.random.default_rng(69)
+    s = random_state(3, seed=69, index=0)
+    assert _base_shift(s, _orbit_point(s, _gaussian_element(rng, 3, unit=True))) > 0.05
+
+
+def test_fibre_family_moves_the_base_point_4():
+    # sedenions are not alternative: (y, m*y) leaves the fibre
+    rng = np.random.default_rng(69)
+    s = random_state(4, seed=69, index=0)
+    assert _base_shift(s, _fibre_point(s, _gaussian_element(rng, 4))) > 0.05
+
+
+def test_quotient_misses_delta_4():
+    # with x = num / den, delta = (|x|^2 - 1) / (|x|^2 + 1) for n = 2, 3
+    # (see test_quotient_projective_consistency_2 and _3) but not at n = 4
+    s = random_state(4, seed=69, index=0)
+    num, den = hopf_quotient(s)
+    x_sq = cd_norm_sq(num) / (den * den)
+    assert abs(base_coordinates(s).delta - (x_sq - 1.0) / (x_sq + 1.0)) > 0.05
 
 
 def test_quotient_numerators_equal_the_product_form():

@@ -64,3 +64,33 @@ def test_every_float_sum_goes_through_slot_sums():
             if isinstance(getattr(node, "op", None), ast.MatMult):
                 found.append((where, "@"))
     assert found == []
+
+
+# What the report may take from the modules that compute it: each module's
+# own report fields, and the batch kernels sample_rows runs.  No kernel
+# layout, front-row gather or class rule leaks into reporting.py.
+_REPORTING_IMPORTS = {
+    "fibration": {"_base_coordinates", "_report_fields"},
+    "tangles": {"_report_fields", "_tau_first"},
+}
+_KERNEL_NAMES = {
+    "_FRONT", "_spin_flip_gram", "_separable_rows", "_three_qubit_tangles", "_classify_three",
+    "_e_values", "_ball", "_at_origin", "base_coordinates",
+}
+
+
+def test_reporting_reads_only_report_fields_and_sample_kernels():
+    path = pathlib.Path(hopfq.__file__).parent / "reporting.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, named = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None)
+            for alias in node.names:
+                if module is None:  # import x or from . import x
+                    imported.setdefault(alias.name.rpartition(".")[2], set()).add("*")
+                else:
+                    imported.setdefault(module, set()).add(alias.name)
+        named.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    assert {module: imported.get(module) for module in _REPORTING_IMPORTS} == _REPORTING_IMPORTS
+    assert named & _KERNEL_NAMES == set()

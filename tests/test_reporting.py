@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_braket import _FINITE
-from test_fibration import _draw_unit_state
+from test_fibration import _draw_unit_state, _random_product
 
+import hopfq.fibration
 import hopfq.reporting
 import hopfq.tangles
 from hopfq.braket import format_state, parse_state
@@ -325,7 +326,7 @@ def test_report_computes_base_coordinates_once(monkeypatch):
         calls.append(state)
         return base_coordinates(state)
 
-    monkeypatch.setattr(hopfq.reporting, "base_coordinates", counted)
+    monkeypatch.setattr(hopfq.fibration, "base_coordinates", counted)
     state = random_state(4, seed=5, index=2)
     report = analysis_report(state)
     assert len(calls) == 1
@@ -357,19 +358,71 @@ def test_report_tests_each_qubit_for_separability_once(monkeypatch):
         return front_rows(state, qubit)
 
     for state, separable, label in cases:
-        monkeypatch.setattr(hopfq.reporting, "_separable_rows", counted_rows)
+        monkeypatch.setattr(hopfq.tangles, "_separable_rows", counted_rows)
         monkeypatch.setattr(hopfq.tangles, "_front_rows", counted_front)
         stacks.clear()
         gathers.clear()
         report = analysis_report(state)
-        monkeypatch.undo()
         # One minor test over the front rows of all three qubits, gathered
-        # once, and no per-qubit gather besides.
+        # once, and no per-qubit gather besides; classify_three reads the
+        # class off that one test's list too.
         assert stacks == [(3, 2, 4)]
         assert gathers == []
+        stacks.clear()
+        assert classify_three(state) == label
+        assert stacks == [(3, 2, 4)]
+        monkeypatch.undo()
         assert report["separable"] == separable
         assert separable == [separable_one_rest(state, q) for q in range(3)]
-        assert report["classification"] == label == classify_three(state)
+        assert report["classification"] == label
+
+
+# A Haar-like 3-qubit state whose largest 2x2 minors for qubits A, B and C
+# are 9.06e-10, 9.50e-10 and 1.008e-9, against SEP_TOL = 1e-9.
+_NEAR_TOL_WITNESS = (
+    "(0.23382425209332541+0.12567445310265707i)|000> + "
+    "(0.18405110607111888-0.1875921790719671i)|001> + "
+    "(-0.34311996572000986+0.18082828606133747i)|010> + "
+    "(0.077159933956811338+0.37614248703344139i)|011> + "
+    "(0.29763096939070754-0.045320737631102621i)|100> + "
+    "(0.039105717048661816-0.29547475770542037i)|101> + "
+    "(-0.18795103475291408+0.39769694964714752i)|110> + "
+    "(0.32618873502756235+0.28851206382195771i)|111>"
+)
+
+
+def test_class_of_a_near_tolerance_witness_follows_its_separable_list():
+    # Two qubits pass the minor test and one fails: the report's class is
+    # the one its own separable list gives, and classify_three agrees.
+    state = parse_state(_NEAR_TOL_WITNESS)
+    report = analysis_report(state)
+    assert report["separable"] == [True, True, False]
+    assert report["classification"] == "bi-separable" == classify_three(state)
+
+
+# The class by the number of qubits that factor out.
+_CLASS_BY_COUNT = {0: "entangled", 1: "bi-separable", 2: "bi-separable", 3: "fully-separable"}
+_SPLITS_3 = ([(0, 1, 2)], [(0,), (1, 2)], [(1,), (0, 2)], [(2,), (0, 1)], [(0,), (1,), (2,)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_class_is_the_lookup_of_the_separable_list(data):
+    # Haar states, exact products over every split pattern, and those
+    # products moved by 1e-10 to 1e-8, where the minors straddle SEP_TOL.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["haar", "product", "perturbed"]))
+    if kind == "haar":
+        state = random_state(3, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 99)))
+    else:
+        state = _random_product(3, data.draw(st.sampled_from(_SPLITS_3)), rng)
+    if kind == "perturbed":
+        z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        size = 10.0 ** data.draw(st.floats(-10.0, -8.0))
+        state = make_state(3, state.amps + size * z / np.linalg.norm(z), normalize=True)
+    report = analysis_report(state)
+    assert report["classification"] == _CLASS_BY_COUNT[sum(report["separable"])]
+    assert classify_three(state) == report["classification"]
 
 
 def _bits(values):

@@ -349,9 +349,13 @@ def test_pair_tangles_of_w3_are_exactly_four_ninths():
     assert np.allclose(pair_tangles(w_state(3)), [4 / 9] * 3, rtol=0.0, atol=1e-15)
 
 
-# The 16 floats of a sparse 3-qubit state: mostly signed zeros.
-_SPARSE = st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
-                   min_size=16, max_size=16).filter(lambda parts: any(parts))
+def _draw_haar_or_sparse(data, n):
+    # A Haar state, or a sparse one whose floats are mostly signed zeros.
+    if data.draw(st.booleans()):
+        return random_state(n, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 99)))
+    parts = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                               min_size=2 << n, max_size=2 << n).filter(any))
+    return make_state(n, np.array(parts).view(np.complex128), normalize=True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,10 +365,7 @@ def test_one_vs_rest_splits_into_pair_and_three_tangles(data):
     # three-tangle, over Haar states and sparse signed-zero ones; the pair
     # tangles stay put under a Haar one-qubit unitary, and the report holds
     # the public functions' bits.
-    if data.draw(st.booleans()):
-        s = random_state(3, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 99)))
-    else:
-        s = make_state(3, np.array(data.draw(_SPARSE)).view(np.complex128), normalize=True)
+    s = _draw_haar_or_sparse(data, 3)
     ab, ac, bc = pair_tangles(s)
     tau3 = three_tangle(s)
     assert abs(e_measure(s)[0] - (ab + ac + tau3)) <= 1e-14
@@ -408,8 +409,8 @@ def test_classify_three():
     assert classify_three(half) == "bi-separable"
     assert classify_three(ghz_state(3)) == "entangled"
     assert classify_three(w_state(3)) == "entangled"
-    # a factor with one component near zero, split off at each position:
-    # both rows of that qubit are tested, not only the larger one
+    # a factor with one component near zero, split off at each position,
+    # leaves the class its separable list gives
     for tiny in ([1e-12, 1], [1, 1e-12j]):
         for rest, expected in ((product_state([[1, 2j], [3, 1]]), "fully-separable"),
                                (bell_state(), "bi-separable")):
