@@ -12,6 +12,11 @@ as a lazy module that runs on its first attribute read, and each export is
 read off its ``_EXPORTS`` submodule at every access, so ``hopfq.cd_mul`` is
 whatever ``hopfq.cdnum.cd_mul`` is then.  ``cdnum`` imports numpy at its first
 kernel call, so ``hopfq zero-divisors`` never imports numpy.
+
+The submodules stay lazy: where no bytecode is written
+(``PYTHONDONTWRITEBYTECODE=1``), a fresh process compiles every module it
+executes, and importing them all at ``import hopfq`` took
+``hopfq zero-divisors`` from 54.8 to 69.7 ms (median of 21 runs).
 """
 
 import importlib.util

@@ -2,7 +2,9 @@
 
 Everything here goes through reduced density matrices or polynomial
 invariants of the amplitude tensor, so it cross-validates the fibration
-coordinates rather than reusing them.
+coordinates rather than reusing them.  The one-qubit reductions and the
+separability minors are numpy batches; the spin-flip Gram behind the
+concurrence and the three-qubit tangles is taken in Python floats.
 """
 
 import numpy as np
@@ -11,16 +13,6 @@ from .cdnum import _slot_sums
 from .states import _FRONT, ShapeError, bring_to_front
 
 SEP_TOL = 1e-9
-
-# sigma_y (x) sigma_y sends pair amplitude |a> to (-1)**popcount(a) |a XOR 3>,
-# so the Gram needs the complex products (-1)**a v_k[a] v_l[a XOR 3] for
-# a = 0, 1.  In a row's float view pair amplitude a sits at 2a (re) and
-# 2a + 1 (im).  v_l gathered at _FLIP_GATHER[a, i] and scaled by
-# _FLIP_SIGNS[a, i] is the pair that part i (re, then im) of v_k[a]
-# multiplies: (-1)**a (re, im) of v_l[a XOR 3] for i = 0 and
-# (-1)**a (-im, re) for i = 1.
-_FLIP_GATHER = np.array([[[6, 7], [7, 6]], [[4, 5], [5, 4]]])
-_FLIP_SIGNS = np.array([[[1.0, 1.0], [-1.0, 1.0]], [[-1.0, -1.0], [1.0, -1.0]]])
 
 
 def _front_rows(state, qubit):
@@ -39,34 +31,34 @@ def _spin_flip_gram(rows):
     """The spin-flip Gram matrix of each row of (N, 2**n) amplitudes, n >= 2.
 
     With v_k the 4-vector of the row's last two qubits when the others read
-    k, G_kl = sum_a (-1)**popcount(a) v_k[a] v_l[a XOR 3], returned as an
-    (m, m, N) complex array, m = 2**(n-2).  Terms a and a XOR 3 of G_kl are
-    terms a XOR 3 and a of G_lk, so G = H + H^T with
+    k, G_kl = sum_a (-1)**popcount(a) v_k[a] v_l[a XOR 3], returned per row
+    as m rows of m (re, im) float pairs, m = 2**(n-2).  Terms a and a XOR 3
+    of G_kl are terms a XOR 3 and a of G_lk, so G = H + H^T with
     H_kl = v_k[0] v_l[3] - v_k[1] v_l[2].  G is exactly symmetric, and at
-    n = 2 exactly 2(v[0] v[3] - v[1] v[2]).  Every step is elementwise, in
-    real products (numpy's complex multiply may fuse), so a row's bits do
-    not depend on its batch or on the CPU's vector loops.
+    n = 2 exactly 2(v[0] v[3] - v[1] v[2]).  Each Python float operation
+    rounds on its own, so a row's bits depend on neither its batch nor the
+    CPU.
     """
-    count = len(rows)
-    v = np.ascontiguousarray(rows).view(np.float64).reshape(count, -1, 8)
-    # p[N, k, l, a, i, j]: part i of v_k[a] times entry (i, j) of its flip row.
-    x = v[:, :, :4].reshape(count, -1, 1, 2, 2, 1)
-    p = x * (v[:, :, _FLIP_GATHER] * _FLIP_SIGNS)[:, None]
-    products = p[..., 0, :] + p[..., 1, :]
-    h = products[..., 0, :] + products[..., 1, :]
-    return (h + h.swapaxes(1, 2)).view(np.complex128)[..., 0].transpose(1, 2, 0)
+    grams = []
+    for v in np.ascontiguousarray(rows).view(np.float64).reshape(len(rows), -1, 8).tolist():
+        h = [[((ar * dr + ai * -di) + (br * -cr + bi * ci),
+               (ar * di + ai * dr) + (br * -ci + bi * -cr))
+              for _, _, _, _, cr, ci, dr, di in v]
+             for ar, ai, br, bi, *_ in v]
+        grams.append([[(p[0] + q[0], p[1] + q[1]) for p, q in zip(row, column)]
+                      for row, column in zip(h, zip(*h))])
+    return grams
 
 
 def _det(gram):
-    """det [[a, b], [c, d]] of Python complex numbers, in real products (a
-    compiler may fuse those of a complex multiply)."""
-    (a, b), (c, d) = gram
-    return complex((a.real * d.real - b.real * c.real) - (a.imag * d.imag - b.imag * c.imag),
-                   (a.real * d.imag - b.real * c.imag) + (a.imag * d.real - b.imag * c.real))
+    """det [[a, b], [c, d]] of (re, im) float pairs, as a complex."""
+    ((ar, ai), (br, bi)), ((cr, ci), (dr, di)) = gram
+    return complex((ar * dr - br * cr) - (ai * di - bi * ci),
+                   (ar * di - br * ci) + (ai * dr - bi * cr))
 
 
-def _three_qubit_tangles(gram):
-    """(three_tangle, (tau_AB, tau_AC, tau_BC)) from the (2, 2, 3) Grams of
+def _three_qubit_tangles(grams):
+    """(three_tangle, (tau_AB, tau_AC, tau_BC)) from the 2 x 2 Grams of
     the three-qubit front rows A, B and C.
 
     Row C is pair (A, B) indexed by C, the hyperdeterminant's own layout, and
@@ -75,11 +67,11 @@ def _three_qubit_tangles(gram):
     summed in index order, re**2 then im**2, as cdnum._norm_sq sums.
     """
     taus = []
-    for row in gram.transpose(2, 0, 1).tolist():
-        (a, b), (c, d) = row
-        det = abs(_det(row))
-        re = ((a.real * a.real + b.real * b.real) + c.real * c.real) + d.real * d.real
-        im = ((a.imag * a.imag + b.imag * b.imag) + c.imag * c.imag) + d.imag * d.imag
+    for gram in grams:
+        ((ar, ai), (br, bi)), ((cr, ci), (dr, di)) = gram
+        det = abs(_det(gram))
+        re = ((ar * ar + br * br) + cr * cr) + dr * dr
+        im = ((ai * ai + bi * bi) + ci * ci) + di * di
         taus.append(((re + im) - 2.0 * det, det))
     (bc, _), (ac, _), (ab, det_c) = taus
     return 4.0 * det_c, (ab, ac, bc)
@@ -90,7 +82,7 @@ def concurrence(state):
     spin-flip Gram."""
     if state.n != 2:
         raise ShapeError("concurrence is defined for 2 qubits")
-    return abs(_spin_flip_gram(state.amps[None])[0, 0, 0].item())
+    return abs(complex(*_spin_flip_gram(state.amps[None])[0][0][0]))
 
 
 def hyperdeterminant_222(state):
@@ -104,7 +96,7 @@ def hyperdeterminant_222(state):
     """
     if state.n != 3:
         raise ShapeError("the hyperdeterminant is defined for 3 qubits")
-    return _det(_spin_flip_gram(state.amps[_FRONT[3][2]][None])[..., 0].tolist())
+    return _det(_spin_flip_gram(state.amps[_FRONT[3][2]][None])[0])
 
 
 def three_tangle(state):
@@ -158,8 +150,9 @@ def tau_one_rest(state, qubit):
 
 def _separable_rows(m):
     """separable_one_rest of each (2, h) front-row matrix of an (N, 2, h) stack."""
-    a, b = m[:, 0], m[:, 1]
-    minors = a[:, :, None] * b[:, None, :] - b[:, :, None] * a[:, None, :]
+    # Entry (i, j) of p is a_i b_j, so b_i a_j = a_j b_i is entry (j, i).
+    p = m[:, 0, :, None] * m[:, 1, None, :]
+    minors = p - p.swapaxes(1, 2)
     return np.abs(minors).max(axis=(1, 2)) < SEP_TOL
 
 
@@ -192,7 +185,7 @@ def _report_fields(state):
     fronts = state.amps[_FRONT[n]]
     fields = {"tau_one_rest": _tau_first(fronts).tolist()}
     if n == 2:
-        fields["concurrence"] = abs(_spin_flip_gram(fronts)[0, 0, 0].item())
+        fields["concurrence"] = abs(complex(*_spin_flip_gram(fronts[:1])[0][0][0]))
     if n == 3:
         # One spin-flip Gram per front row gives every tangle below.
         fields["three_tangle"], pairs = _three_qubit_tangles(_spin_flip_gram(fronts))

@@ -40,12 +40,17 @@ _SUMMING_NAMES = {
     "nansum", "cumsum", "average", "trace",
 }
 
+# The modules that sum floats in Python.  The builtin sum starts from the
+# int 0, so 0 + -0.0 drops a zero's sign, and from Python 3.12 it compensates
+# float sums; math.fsum rounds once.  Either breaks the slot order.
+_FLOAT_MODULES = {"cdnum.py", "states.py", "fibration.py", "tangles.py"}
+
 
 def test_every_float_sum_goes_through_slot_sums():
     # README's "Pinned bytes": every per-state sum adds in slot order through
     # cdnum._slot_sums, and hopfq calls no np.linalg.  So no source file
     # names an einsum, a product or a reduction, uses @, or calls .sum
-    # anywhere but in _slot_sums.
+    # anywhere but in _slot_sums; and no float module calls sum() or fsum.
     found = []
     for path in sorted(pathlib.Path(hopfq.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -63,6 +68,11 @@ def test_every_float_sum_goes_through_slot_sums():
                 found.append((where, ".sum"))
             if isinstance(getattr(node, "op", None), ast.MatMult):
                 found.append((where, "@"))
+            called = getattr(node, "func", None)
+            if path.name in _FLOAT_MODULES and (
+                    isinstance(called, ast.Name) and called.id in {"sum", "fsum"}
+                    or isinstance(called, ast.Attribute) and called.attr == "fsum"):
+                found.append((where, "sum()"))
     assert found == []
 
 

@@ -233,25 +233,48 @@ def _gram_reference(row, m):
     return [[h[k][l] + h[l][k] for l in range(m)] for k in range(m)]
 
 
-@pytest.mark.parametrize("rows", [1, 2, 17])
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_spin_flip_gram_rows_alone_and_as_python_floats(n, rows):
-    # Each row of the Gram is bit for bit the row alone, and equals the
-    # Python-float reference (up to the sign of a zero); G is exactly
-    # symmetric.
+def _hostile_rows(n, rows):
+    # Signed zeros, subnormals, units and magnitudes 2**-200..2**200.  The
+    # scale is an exact ldexp, so the rows have the same bits on every CPU
+    # (numpy's 10.0 ** k runs SIMD pow loops whose last bits differ).
     rng = np.random.default_rng(40 * n + rows)
     shape = (rows, 1 << n, 2)
     special = rng.choice([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0], shape)
-    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-60, 60, shape)
-    amps = np.where(rng.random(shape) < 0.3, special, wide).view(np.complex128)[..., 0]
+    wide = np.ldexp(rng.standard_normal(shape), rng.integers(-200, 200, shape))
+    return np.where(rng.random(shape) < 0.3, special, wide).view(np.complex128)[..., 0]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spin_flip_gram_rows_alone_and_as_python_floats(n, rows):
+    # Each row's Gram is m rows of m (re, im) Python-float pairs, exactly
+    # symmetric, bit for bit the row alone, and equal to the reference as
+    # numbers (the sign of a zero is pinned by the digest below).
+    amps = _hostile_rows(n, rows)
     m = 1 << (n - 2)
-    gram = _spin_flip_gram(amps)
-    assert gram.shape == (m, m, rows) and gram.dtype == np.complex128
-    assert gram.tobytes() == gram.transpose(1, 0, 2).tobytes()
-    for row in range(rows):
-        assert _spin_flip_gram(amps[row:row + 1]).tobytes() == gram[..., row:row + 1].tobytes()
-        expected = np.array(_gram_reference(amps[row], m)).view(np.complex128)[..., 0]
-        assert np.array_equal(expected, gram[..., row])
+    grams = _spin_flip_gram(amps)
+    assert len(grams) == rows
+    for row, gram in enumerate(grams):
+        parts = np.array(gram)
+        assert parts.shape == (m, m, 2)
+        assert {type(x) for line in gram for entry in line for x in entry} == {float}
+        assert parts.tobytes() == parts.swapaxes(0, 1).tobytes()
+        assert np.array(_spin_flip_gram(amps[row:row + 1])[0]).tobytes() == parts.tobytes()
+        assert gram == _gram_reference(amps[row], m)
+
+
+def test_spin_flip_gram_bytes_are_pinned():
+    # The float bytes of every Gram of the corpus above, re then im, entry
+    # by entry.  Pinned with the numpy batch kernel that the Python-float
+    # loop replaced, under default, baseline and AVX2 loops alike.
+    digest = hashlib.sha256()
+    for n in (2, 3, 4):
+        for rows in (1, 2, 17):
+            for gram in _spin_flip_gram(_hostile_rows(n, rows)):
+                digest.update(np.array(gram).tobytes())
+    assert digest.hexdigest() == (
+        "ed2879b7a708939adfd60795a6e08bb044a795d3363e229a58879dff887ef467"
+    )
 
 
 def test_three_tangle_examples():
