@@ -10,8 +10,11 @@ density-matrix computations.  A bra-ket expression parser and a CLI
 Importing the package executes none of its submodules: each is registered
 as a lazy module that runs on its first attribute read, and each export is
 read off its ``_EXPORTS`` submodule at every access, so ``hopfq.cd_mul`` is
-whatever ``hopfq.cdnum.cd_mul`` is then.  ``cdnum`` imports numpy at its first
-kernel call, so ``hopfq zero-divisors`` never imports numpy.
+whatever ``hopfq.cdnum.cd_mul`` is then.  numpy is imported only by the
+first call that makes or reads an array (a batch kernel, a ``CDElement``, a
+state's ``amps``, ``parse_amplitudes``): one state's analysis runs in Python
+floats, so ``hopfq zero-divisors``, ``hopfq analyze`` and
+``hopfq verify-paper`` never import numpy.
 
 The submodules stay lazy: where no bytecode is written
 (``PYTHONDONTWRITEBYTECODE=1``), a fresh process compiles every module it

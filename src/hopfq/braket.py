@@ -23,12 +23,11 @@ offending token.
 
 import cmath
 import itertools
+import math
 import re
 
-import numpy as np
-
-from .cdnum import _is_int, _raising
-from .states import MAX_QUBITS, make_state
+from .cdnum import _divided, _is_int, np
+from .states import MAX_QUBITS, _make_state
 
 _BLANKS = " \t\r\n"
 
@@ -96,25 +95,66 @@ def _tokenize(text):
     raise ParseError(message, line, col)
 
 
-def _ket_rows():
-    # Every ket token, ">" and U+27E9 spellings alike, to its read-only row of
-    # the identity matrix of its width.  The evaluator never writes into a
-    # value, so terms share rows; parse_amplitudes copies a bare one.
-    kets = {}
-    for width in range(1, MAX_QUBITS + 1):
-        rows = np.eye(1 << width, dtype=np.complex128)
-        rows.setflags(write=False)
-        for k, row in enumerate(rows):
-            bits = format(k, f"0{width}b")
-            kets[f"|{bits}>"] = kets[f"|{bits}⟩"] = row
-    return kets
+# A ket sum is a tuple (bits, terms, rest, nonzero): terms maps some indices
+# to their complex amplitudes, every other index holds rest, a signed zero,
+# and nonzero is true when no real or imaginary part in terms is zero.  Each
+# operation applies to rest too, so a ket sum has the bits of its dense
+# vector, as numpy's baseline loops compute it: one rounding per Python
+# float operation.  Each operation checks the values it makes: its operands
+# are finite, so only an overflow makes one infinite or nan.
 
 
-_CONSTANTS = {**_ket_rows(), "i": 1j}
+def _ket(bits, terms, rest):
+    if not cmath.isfinite(rest):
+        raise FloatingPointError
+    nonzero = True
+    for z in terms.values():
+        if not cmath.isfinite(z):
+            raise FloatingPointError
+        if not (z.real and z.imag):
+            nonzero = False
+    return bits, terms, rest, nonzero
 
 
-# A value is a Python complex (a scalar) or a complex128 array of length
-# 2**bits (a ket sum); a ket has at least one bit, so no array has length 1.
+def _times(scalar, ket):
+    """scalar * ket, each product (sr*zr - si*zi, sr*zi + si*zr)."""
+    bits, terms, rest, _ = ket
+    sr, si = scalar.real, scalar.imag
+
+    def times(z):
+        return complex(sr * z.real - si * z.imag, sr * z.imag + si * z.real)
+
+    return _ket(bits, {k: times(z) for k, z in terms.items()}, times(rest))
+
+
+def _over(ket, scalar):
+    """ket / scalar, through cdnum._divided."""
+    bits, terms, rest, _ = ket
+    values = [*terms.values(), rest]
+    parts = _divided([x for z in values for x in (z.real, z.imag)], scalar.real, scalar.imag)
+    *quotients, rest = map(complex, parts[0::2], parts[1::2])
+    return _ket(bits, dict(zip(terms, quotients)), rest)
+
+
+def _negated(ket):
+    bits, terms, rest, _ = ket
+    return _ket(bits, {k: -z for k, z in terms.items()}, -rest)
+
+
+def _plus(lhs, rhs):
+    """lhs + rhs.  Adding a signed zero changes only a zero part, so when
+    lhs has none its terms off rhs's indices stay as they are."""
+    bits, terms, rest, nonzero = lhs
+    _, added, zero, _ = rhs
+    out = dict(terms) if nonzero else {k: z + zero for k, z in terms.items()}
+    for k, w in added.items():
+        out[k] = z = terms.get(k, rest) + w
+        if not cmath.isfinite(z):
+            raise FloatingPointError
+        nonzero = nonzero and z.real and z.imag
+    return bits, out, rest + zero, bool(nonzero)
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -134,10 +174,7 @@ class _Parser:
         self.pos += 1
 
     def parse(self):
-        # Ket arithmetic that leaves the float range raises FloatingPointError,
-        # which apply turns into a ParseError at the operator.
-        with _raising():
-            value = self.expression()
+        value = self.expression()
         tok = self.tokens[self.pos]
         if tok:
             raise self.error(f"unexpected {tok!r} after expression", self.pos)
@@ -174,9 +211,10 @@ class _Parser:
         if self.depth == MAX_NESTING:
             raise self.error(f"nesting deeper than {MAX_NESTING} levels", at)
         self.pos = at + 1
-        value = _CONSTANTS.get(tok)
-        if value is not None:  # a ket or i
-            pass
+        if tok == "i":
+            value = 1j
+        elif tok[:1] == "|":  # a closed ket: a malformed one fails in _tokenize
+            value = (len(tok) - 2, {int(tok[1:-1], 2): 1 + 0j}, 0j, False)
         elif tok[:1].isdecimal():
             value = complex(tok)
             if not cmath.isfinite(value):
@@ -192,49 +230,52 @@ class _Parser:
                 self.expect(")", "')'")
             self.depth -= 1
             if tok != "(":
-                if isinstance(value, np.ndarray):
+                if type(value) is tuple:
                     raise self.error("sqrt of a ket expression", at)
                 if value.imag != 0.0 or value.real < 0.0:
                     raise self.error("sqrt argument must be a nonnegative real", at)
-                value = complex(np.sqrt(value.real))
+                value = complex(math.sqrt(value.real))
         elif not tok:
             raise self.error("unexpected end of input", at)
         elif tok[0] in _IMPLICIT:  # a name: kets, i, "(" and "√" are handled above
             raise self.error(f"unknown name {tok!r}", at)
         else:
             raise self.error(f"unexpected {tok!r}", at)
-        return -value if flip else value
+        if not flip:
+            return value
+        return _negated(value) if type(value) is tuple else -value
 
     def apply(self, lhs, rhs, at):
         """lhs op rhs for the operator token at `at`; any other token there
         starts a juxtaposed factor and multiplies."""
-        # Scalars stay Python complex and multiply a ket from the left: numpy's
-        # complex loops may round differently from Python's, so operand types
-        # and order fix the bits of every result.
+        # Scalars stay Python complex; a ket's entries are multiplied and
+        # divided in Python floats, as numpy's baseline loops do it.
         op = self.tokens[at]
-        lket, rket = isinstance(lhs, np.ndarray), isinstance(rhs, np.ndarray)
+        lket, rket = type(lhs) is tuple, type(rhs) is tuple
         try:
             if op in ("+", "-"):
                 if lket != rket:
                     raise self.error("cannot add a scalar and a ket expression", at)
-                if lket and len(lhs) != len(rhs):
-                    raise self.error(
-                        f"mixed ket lengths ({len(lhs).bit_length() - 1} and "
-                        f"{len(rhs).bit_length() - 1} bits)",
-                        at,
-                    )
-                value = lhs + rhs if op == "+" else lhs - rhs
+                if not lket:
+                    value = lhs + rhs if op == "+" else lhs - rhs
+                elif lhs[0] != rhs[0]:
+                    raise self.error(f"mixed ket lengths ({lhs[0]} and {rhs[0]} bits)", at)
+                else:  # a - b is a + (-b), bit for bit
+                    value = _plus(lhs, rhs if op == "+" else _negated(rhs))
             elif op == "/":
                 if rket:
                     raise self.error("cannot divide by a ket expression", at)
                 if rhs == 0:
                     raise self.error("division by zero", at)
-                value = lhs / rhs
+                value = _over(lhs, rhs) if lket else lhs / rhs
             elif lket and rket:
                 raise self.error("cannot multiply two ket expressions", at)
+            elif lket or rket:
+                value = _times(rhs, lhs) if lket else _times(lhs, rhs)
             else:
-                value = rhs * lhs if lket else lhs * rhs
-            # Python complex arithmetic overflows to inf (or nan) silently.
+                value = lhs * rhs
+            # Python complex arithmetic overflows to inf (or nan) silently; the
+            # ket operations check their own values.
             if not (lket or rket or cmath.isfinite(value)):
                 raise FloatingPointError
         except FloatingPointError:
@@ -242,16 +283,23 @@ class _Parser:
         return value
 
 
-def parse_amplitudes(text):
-    """Parse to a raw (qubit_count, amplitude_vector) pair, unvalidated."""
+def _parse_parts(text):
+    """The qubit count and the amplitudes, as a tuple of (re, im) parts, of
+    bra-ket text; every part is finite."""
     if not isinstance(text, str):
         raise ParseError("input must be a string", 1, 1)
-    amps = _Parser(text).parse()
-    if not isinstance(amps, np.ndarray):
+    value = _Parser(text).parse()
+    if type(value) is not tuple:
         raise ParseError("expression contains no ket terms", 1, 1)
-    if not amps.flags.writeable:  # one bare ket: a shared row of _CONSTANTS
-        amps = amps.copy()
-    return len(amps).bit_length() - 1, amps
+    bits, terms, rest, _ = value
+    values = [terms.get(k, rest) for k in range(1 << bits)]
+    return bits, tuple(x for z in values for x in (z.real, z.imag))
+
+
+def parse_amplitudes(text):
+    """Parse to a raw (qubit_count, amplitude_vector) pair, unvalidated."""
+    n, parts = _parse_parts(text)
+    return n, np.array(parts).view(np.complex128)
 
 
 def parse_state(text, normalize=False):
@@ -260,19 +308,17 @@ def parse_state(text, normalize=False):
     Without ``normalize`` the amplitudes must already be unit-norm (within the
     make_state input tolerance) and are kept verbatim.
     """
-    n, amps = parse_amplitudes(text)
-    return make_state(n, amps, normalize=normalize)
+    return _make_state(*_parse_parts(text), normalize)
 
 
 def _format_real(v, digits):
     return format(v, f".{digits}g")
 
 
-def _format_coeff(z, digits):
+def _format_coeff(re_, im, digits):
     """Render one coefficient; complex values are parenthesized so the output
     re-parses as (scalar)|bits>.  Returns (text, sign) with sign pulled out
     for pure-real/pure-imaginary values to keep "a - b|01>" joins natural."""
-    re_, im = z.real, z.imag
     if im == 0.0:
         return _format_real(abs(re_), digits), -1.0 if re_ < 0 else 1.0
     if re_ == 0.0:
@@ -283,16 +329,18 @@ def _format_coeff(z, digits):
 
 def format_state(state, digits=17):
     """Render a state as a sum of coefficient|bits> terms with ``digits``
-    significant digits (17 round-trip double precision exactly).  ``digits``
-    is an int from 1 to 17, not a bool; anything else raises ValueError."""
+    significant digits (17 round-trip double precision exactly, but for the
+    sign of a zero real or imaginary part beside a nonzero one: no term is
+    written for it, so it parses back as +0.0).  ``digits`` is an int from
+    1 to 17, not a bool; anything else raises ValueError."""
     if not (_is_int(digits) and 1 <= digits <= 17):
         raise ValueError(f"digits must be an integer in 1..17, got {digits!r}")
-    n = state.n
+    n, amps = state.n, state._parts
     parts = []
-    for k, amp in enumerate(state.amps):
-        if amp == 0:
+    for k, (re_, im) in enumerate(zip(amps[0::2], amps[1::2])):
+        if re_ == 0.0 and im == 0.0:
             continue
-        coeff, sign = _format_coeff(complex(amp), digits)
+        coeff, sign = _format_coeff(re_, im, digits)
         bits = format(k, f"0{n}b")
         if not parts:
             prefix = "-" if sign < 0 else ""

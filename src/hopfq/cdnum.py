@@ -14,17 +14,23 @@ auditing, see ``basis_product_table`` and ``data/basis_products_level4.csv``.
 """
 
 import functools
+import math
 import numbers
+import sys
 
 
 class _Numpy:
-    """numpy until its first read, which imports it and rebinds ``np`` to it."""
+    """numpy until its first read, which imports it and rebinds ``np`` to it.
+    The modules that import ``np`` from here hold this proxy, which keeps each
+    attribute it reads, so their later reads of it are plain lookups."""
 
     def __getattr__(self, attr):
         global np
         import numpy as np
 
-        return getattr(np, attr)
+        value = getattr(np, attr)
+        setattr(self, attr, value)
+        return value
 
 
 np = _Numpy()
@@ -48,14 +54,18 @@ def _is_int(value):
 def _is_pun(values):
     # A bool, str or bytes value or array, or a list or tuple with such an
     # entry: numpy reads True, "1" and b"1" as 1, but none is a number.
-    # np.bool_ is read per call, so importing this module loads no numpy.
-    puns = (bool, np.bool_, str, bytes)
-    if isinstance(values, np.ndarray) and values.dtype.kind == "O":
+    # No numpy bool or array exists before numpy is imported, so numpy's
+    # types are read only from an import already made.
+    numpy = sys.modules.get("numpy")
+    puns, arrays = (bool, str, bytes), ()
+    if numpy is not None:
+        puns, arrays = (bool, numpy.bool_, str, bytes), numpy.ndarray
+    if isinstance(values, arrays) and values.dtype.kind == "O":
         values = values.ravel().tolist()
     elif not isinstance(values, (list, tuple)):
         values = [values]
     return any(
-        isinstance(x, puns) or (isinstance(x, np.ndarray) and x.dtype.kind in "bSU")
+        isinstance(x, puns) or (isinstance(x, arrays) and x.dtype.kind in "bSU")
         for x in values
     )
 
@@ -65,12 +75,32 @@ def _check_level(level, lowest=0):
         raise ValueError(f"level must be an integer in {lowest}..{MAX_LEVEL}, got {level!r}")
 
 
-def _pow2_scaled(values):
-    # Float or complex values over the power of two of their largest float
-    # part, and its exponent: exact, and no square of a part can overflow.
-    parts = values.view(np.float64)
-    exp = np.frexp(np.max(np.abs(parts)))[1]
-    return np.ldexp(parts, -exp).view(values.dtype), exp
+def _pow2_scaled(parts):
+    # Floats over the power of two of the largest of them, and its exponent:
+    # exact, and no square of a part can overflow.
+    exp = math.frexp(max(map(abs, parts)))[1]
+    return [math.ldexp(x, -exp) for x in parts], exp
+
+
+def _divided(parts, dr, di):
+    """Complex values, given as flat (re, im) float pairs, each divided by
+    dr + di*i as numpy's complex loops divide (Smith's rule, by a reciprocal),
+    as the flat pairs of the quotients.  Each Python float operation rounds
+    on its own.  The divisor is finite and nonzero; a denominator or a
+    reciprocal past the float range raises FloatingPointError, as numpy's
+    overflow check does."""
+    if abs(dr) >= abs(di):
+        rat = di / dr
+        den = dr + di * rat
+        out = [(xr + xi * rat, xi - xr * rat) for xr, xi in zip(parts[0::2], parts[1::2])]
+    else:
+        rat = dr / di
+        den = di + dr * rat
+        out = [(xr * rat + xi, xi * rat - xr) for xr, xi in zip(parts[0::2], parts[1::2])]
+    scl = 1.0 / den
+    if not (math.isfinite(den) and math.isfinite(scl)):
+        raise FloatingPointError("overflow encountered in divide")
+    return [x * scl for pair in out for x in pair]
 
 
 def _raising():
@@ -267,13 +297,18 @@ def _slot_sums(terms):
     return np.ascontiguousarray(terms).sum(axis=0)
 
 
-def _norm_sq(values):
-    """Squared norm of float or complex values: the squares of the real parts
-    and of the imaginary parts (zeros for floats), two per slot, summed in
-    index order through _slot_sums, then the two sums added."""
-    sq = np.square(np.asarray(values, np.complex128).view(np.float64))
-    re, im = _slot_sums(sq.reshape(-1, 2)).tolist()
-    return re + im
+def _norm_sq(re, im=()):
+    """Squared norm of complex values given as float sequences of their real
+    and imaginary parts (none for real values): the squares of the real parts
+    added from 0.0 in index order, then those of the imaginary parts, then
+    the two sums added; one rounding per Python float operation, as
+    _slot_sums adds (numpy's reduction starts from its identity, 0.0)."""
+    re_sq = im_sq = 0.0
+    for x in re:
+        re_sq += x * x
+    for x in im:
+        im_sq += x * x
+    return re_sq + im_sq
 
 
 def _mul(x, y):
@@ -319,8 +354,11 @@ def cd_conj(x):
 
 def cd_norm_sq(x):
     """Squared Euclidean norm, sum of squared coefficients."""
-    with _raising():
-        return _norm_sq(x.coeffs)
+    # Every coefficient is finite, so only an overflow makes it infinite.
+    total = _norm_sq(x.coeffs.tolist())
+    if total == math.inf:
+        raise FloatingPointError("overflow encountered in the squared norm")
+    return total
 
 
 def cd_inverse(x):
@@ -331,8 +369,8 @@ def cd_inverse(x):
     """
     if x.is_zero():
         raise SingularElementError("cannot invert an element of zero norm")
-    y, exp = _pow2_scaled(x.coeffs)
-    return CDElement(x.level, np.ldexp(_conj_coeffs(y) / _norm_sq(y), -exp))
+    y, exp = _pow2_scaled(x.coeffs.tolist())
+    return CDElement(x.level, np.ldexp(_conj_coeffs(np.array(y)) / _norm_sq(y), -exp))
 
 
 def basis_product_table(level):

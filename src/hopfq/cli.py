@@ -19,7 +19,7 @@ import os
 import sys
 
 # Modules, not names: each runs on its first use, so a command loads only
-# what it calls (zero-divisors never imports numpy).
+# what it calls (only sample imports numpy).
 from . import braket, cdnum, reporting, states
 
 EXIT_OK = 0

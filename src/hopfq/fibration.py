@@ -17,12 +17,17 @@ They agree identically for n <= 3 and can differ for n = 4, where sedenion
 norms are not multiplicative; the gap is exactly the norm defect
 4*(||u1||^2*||u2||^2 - ||P||^2), which base_coordinates records.
 e_complement is the headline E in reports.
+
+One state's coordinates are taken in Python floats (_base_point), those of
+many states, for sample tables, in a numpy batch (_base_coordinates); both
+add every sum in the same order, so a state's values are bit for bit the
+same either way.
 """
 
-import numpy as np
+import functools
 
-from .cdnum import CDElement, _conj_coeffs, _mul, _norm_sq, _raising, _sign_rows, _slot_sums
-from .states import ShapeError, _encode_pairs
+from .cdnum import CDElement, _conj_coeffs, _mul, _norm_sq, _raising, _sign_rows, _slot_sums, np
+from .states import ShapeError, _encode_pairs, _pair_parts
 
 E_SNAP_WINDOW = 1e-9
 _MES_TOL = 1e-9
@@ -30,7 +35,8 @@ _MES_TOL = 1e-9
 
 class BaseCoordinates:
     """Base-point data: delta, comps, and the E aggregates, as floats (comps
-    an array) for one state or as arrays with one row per state for many."""
+    an array, or a list inside the library) for one state, or as arrays with
+    one row per state for many."""
 
     __slots__ = ("n", "delta", "comps", "e_complement", "e_sum", "norm_defect")
 
@@ -54,7 +60,7 @@ def _base_coordinates(amps):
     p = _mul(u2, _conj_coeffs(u1))
     comps = 2.0 * p
     # u1, u2, p and the tail comps[2:] (its first two slots zero), squared and
-    # summed over the slots; np.stack(..., axis=1) is slower on one state.
+    # summed over the slots.
     terms = np.array([u1.T, u2.T, p.T, comps.T])
     terms[3, :2] = 0.0
     n1, n2, p_sq, e_sum = _slot_sums(np.square(terms, out=terms).swapaxes(0, 1))
@@ -66,17 +72,45 @@ def _base_coordinates(amps):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _product_rows(level):
+    # Row k holds, for a = 0, 1, ..., the index of S[a][a^k] * y[a^k] in y
+    # followed by -y: the factors of x[a] in coefficient k of x * y.
+    m = 1 << level
+    signs = _sign_rows(level)
+    return tuple(
+        tuple((a ^ k) + (m if signs[a][a ^ k] < 0 else 0) for a in range(m)) for k in range(m)
+    )
+
+
+def _base_point(state):
+    """One state's base-point data, in Python floats, comps a list: bit for
+    bit its row of _base_coordinates.  Each coefficient of P sums its terms
+    x[a] * S[a][a^k] * y[a^k] from 0.0 in slot order, as _mul does (a sign
+    of +-1 commutes with rounding), and each squared norm as _slot_sums adds."""
+    u1, u2 = _pair_parts(state._parts)
+    neg = [-x for x in u1]
+    # conj(u1), then its negation.
+    factors = [u1[0], *neg[1:], neg[0], *u1[1:]]
+    p = []
+    for row in _product_rows(state.n):
+        total = 0.0
+        for x, b in zip(u2, row):
+            total += x * factors[b]
+        p.append(total)
+    comps = [2.0 * x for x in p]
+    n1, n2 = _norm_sq(u1), _norm_sq(u2)
+    delta = n1 - n2
+    e_complement = 1.0 - delta * delta - comps[0] * comps[0] - comps[1] * comps[1]
+    norm_defect = 4.0 * (n1 * n2 - _norm_sq(p))
+    return BaseCoordinates(state.n, delta, comps, e_complement, _norm_sq(comps[2:]), norm_defect)
+
+
 def base_coordinates(state):
     """Project a state to its base-sphere coordinates (pure quadratic forms)."""
-    bc = _base_coordinates(state.amps[None])
-    return BaseCoordinates(
-        state.n,
-        float(bc.delta[0]),
-        bc.comps[0],
-        float(bc.e_complement[0]),
-        float(bc.e_sum[0]),
-        float(bc.norm_defect[0]),
-    )
+    bc = _base_point(state)
+    bc.comps = np.array(bc.comps)
+    return bc
 
 
 def _snap_unit(v):
@@ -92,18 +126,14 @@ def _snap_unit(v):
 
 def _e_values(bc):
     # (e_complement, e_sum, defect) of one state's base coordinates.
-    return (
-        float(_snap_unit(bc.e_complement)),
-        float(_snap_unit(bc.e_sum)),
-        float(bc.norm_defect),
-    )
+    return _snap_unit(bc.e_complement), _snap_unit(bc.e_sum), bc.norm_defect
 
 
 def _report_fields(state):
     """The analysis report's base-map fields of one state, in report order:
     delta and comps, the E values for n >= 2, the ball point and mes at n = 4."""
-    bc = base_coordinates(state)
-    fields = {"delta": bc.delta, "comps": bc.comps.tolist()}
+    bc = _base_point(state)
+    fields = {"delta": bc.delta, "comps": bc.comps}
     if state.n >= 2:
         fields["e_complement"], fields["e_sum"], fields["norm_defect"] = _e_values(bc)
     if state.n == 4:
@@ -117,7 +147,7 @@ def e_measure(state):
     """Both E expressions plus the norm defect: (e_complement, e_sum, defect)."""
     if state.n < 2:
         raise ShapeError("entanglement measure needs at least 2 qubits")
-    return _e_values(base_coordinates(state))
+    return _e_values(_base_point(state))
 
 
 def _quotient_blocks_2(amps):
@@ -168,7 +198,8 @@ def hopf_quotient(state):
     n, a = state.n, state.amps
     if n not in _QUOTIENT_BLOCKS:
         raise ShapeError("quotient is defined for 2..4 qubits")
-    den = _norm_sq(a[1 << (n - 1) :])
+    second = state._parts[1 << n :]
+    den = _norm_sq(second[0::2], second[1::2])
     # Block k holds the step coefficients of x_k, the factor of i_(k*step),
     # and x_k[j] * i_j * i_(k*step) = S[j][k*step] * x_k[j] * i_(k*step+j):
     # the sum reads its signs off the table.  Adding 0.0 makes a -0.0 +0.0.
@@ -181,7 +212,7 @@ def hopf_quotient(state):
 
 def _ball(bc):
     # The solid-ball point (comps[0], comps[1], delta) of one 4-qubit state.
-    return float(bc.comps[0]), float(bc.comps[1]), float(bc.delta)
+    return bc.comps[0], bc.comps[1], bc.delta
 
 
 def _at_origin(ball):
@@ -192,7 +223,7 @@ def ball_coordinates(state):
     """The 4-qubit solid-ball point (comps[0], comps[1], delta)."""
     if state.n != 4:
         raise ShapeError("ball coordinates are defined for 4 qubits")
-    return _ball(base_coordinates(state))
+    return _ball(_base_point(state))
 
 
 def is_mes(state):

@@ -10,14 +10,14 @@ import functools
 import io
 import itertools
 import json
+import math
 import re
 
-import numpy as np
-
-from .braket import parse_amplitudes
+from .braket import _parse_parts
+from .cdnum import _divided, np
 from .fibration import _base_coordinates, _report_fields as _base_fields
-from .states import (QubitState, _check_natural, _check_qubit_count, _random_amplitudes,
-                     bring_to_front, make_state)
+from .states import (QubitState, _check_natural, _check_qubit_count, _make_state,
+                     _random_amplitudes, bring_to_front)
 from .tangles import _report_fields as _tangle_fields, _tau_first
 
 MATCH_TOL = 1e-3
@@ -30,9 +30,10 @@ def analysis_report(state):
     base-map values while e_complement / e_sum carry the boundary-snapped
     measure values.  fibration and tangles each write their own fields.
     """
+    parts = state._parts
     return {
         "n": state.n,
-        "amplitudes": state.amps.view(np.float64).reshape(-1, 2).tolist(),
+        "amplitudes": [list(pair) for pair in zip(parts[0::2], parts[1::2])],
         **_base_fields(state),
         **_tangle_fields(state),
     }
@@ -194,12 +195,13 @@ def conformance_rows():
     density-matrix tau oracle is computed independently of the pair encoding.
     Every row is read from its state's analysis report.
     """
-    parsed = [parse_amplitudes(text) for _, text in PUBLISHED_STATES]
-    states = [make_state(n, amps, normalize=True) for n, amps in parsed]
+    parsed = [_parse_parts(text) for _, text in PUBLISHED_STATES]
+    states = [_make_state(n, parts, True) for n, parts in parsed]
     # The published prefactor 1/sqrt(2*sqrt(10)) does not normalize Phi2
     # (squared norm 2*sqrt(10) ~= 6.325), so it is evaluated twice: exactly
     # as printed, and rescaled to unit norm.
-    states.insert(4, QubitState._trusted(4, parsed[4][1] / np.sqrt(2.0 * np.sqrt(10.0))))
+    printed = _divided(parsed[4][1], math.sqrt(2.0 * math.sqrt(10.0)), 0.0)
+    states.insert(4, QubitState._trusted(4, tuple(printed)))
     rows = []
     for state, (label, paper_value, note) in zip(states, _CLAIMS):
         r = analysis_report(state)

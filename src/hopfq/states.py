@@ -10,14 +10,15 @@ table.  Under cdnum's doubling rule that conjugates the slots j with a
 nonzero, even number of set bits.
 """
 
+import functools
 import json
+import math
 import os
-
-import numpy as np
+from operator import itemgetter
 
 from .cdnum import (
-    MAX_LEVEL, CDElement, _is_int, _is_pun, _mul, _norm_sq, _pow2_scaled, _sign_rows,
-    _slot_sums,
+    MAX_LEVEL, CDElement, _divided, _is_int, _is_pun, _mul, _norm_sq, _pow2_scaled, _sign_rows,
+    _slot_sums, np,
 )
 
 # n qubits encode at level n.
@@ -57,57 +58,92 @@ def _check_natural(name, value):
 class QubitState:
     """Pure state: qubit count n and 2**n complex amplitudes of unit norm.
     The constructor checks and copies an outside vector; ``_trusted`` wraps
-    one the library computed, without a copy or a check."""
+    one the library computed, without a copy or a check.
 
-    __slots__ = ("n", "amps")
+    The amplitudes are held as ``_parts``, a tuple of 2**(n+1) Python floats,
+    each amplitude's real part and then its imaginary part, so that one
+    state's analysis runs in Python floats and imports no numpy.  ``amps`` is
+    the same vector as a read-only complex128 array, built on its first read
+    and kept."""
+
+    __slots__ = ("n", "_parts", "_amps")
 
     def __init__(self, n, amps):
-        arr = _amplitude_vector(n, amps)
-        # Past the float range the squared norm is inf, which fails the window.
-        with np.errstate(over="ignore"):
-            total = _norm_sq(arr)
-        if total < DEGENERATE_NORM_SQ:
-            raise DegenerateStateError("amplitude vector is numerically zero")
-        if abs(total - 1.0) >= NORM_TOL_INPUT:
-            raise NormalizationError(
-                f"squared norm is {total!r}, not 1; pass normalize=True to rescale"
-            )
-        self._hold(n, arr)
+        parts = _amplitude_parts(n, amps)
+        _check_norm(parts)
+        self._hold(n, parts, None)
 
-    def _hold(self, n, amps):
-        amps.setflags(write=False)
+    def _hold(self, n, parts, amps):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_amps", amps)
 
     def __setattr__(self, name, value):
         raise AttributeError("QubitState is immutable")
 
+    @property
+    def amps(self):
+        amps = self._amps
+        if amps is None:
+            amps = np.array(self._parts).view(np.complex128)
+            amps.setflags(write=False)
+            object.__setattr__(self, "_amps", amps)
+        return amps
+
     @classmethod
     def _trusted(cls, n, amps):
-        # No copy, no check: amps is 2**n complex128 values the library
-        # computed, a unit vector but for conformance_rows' as-printed Phi2.
+        # No check: amps is 2**n amplitudes the library computed, a unit
+        # vector but for conformance_rows' as-printed Phi2, given as a tuple
+        # of parts or as a complex128 array, which becomes ``amps``.
         state = object.__new__(cls)
-        state._hold(n, amps)
+        if isinstance(amps, tuple):
+            state._hold(n, amps, None)
+        else:
+            amps.setflags(write=False)
+            state._hold(n, tuple(amps.view(np.float64).tolist()), amps)
         return state
 
     def __repr__(self):
         return f"QubitState(n={self.n})"
 
 
-def _amplitude_vector(n, amps):
-    # An outside vector as a new complex128 array of 2**n finite entries.
+_NUMBERS = frozenset((int, float, complex))
+
+
+def _amplitude_parts(n, amps):
+    # An outside vector of 2**n finite entries as a new tuple of parts.  A
+    # list or tuple of Python ints, floats and complex numbers converts as
+    # numpy converts it, entry by entry through complex(), without numpy.
     if _is_pun(amps):
         raise StateError("amplitudes must be numbers, not booleans, strings or bytes")
     try:
-        arr = np.array(amps, dtype=np.complex128)
+        if isinstance(amps, (list, tuple)) and all(type(x) in _NUMBERS for x in amps):
+            values, shape = [complex(x) for x in amps], (len(amps),)
+        else:
+            values = np.array(amps, dtype=np.complex128)
+            shape = values.shape
     except (TypeError, ValueError, OverflowError):
         raise StateError("amplitudes must be numbers") from None
     _check_qubit_count(n)
-    if arr.shape != (1 << n,):
-        raise ShapeError(f"{n} qubits need {1 << n} amplitudes, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if shape != (1 << n,):
+        raise ShapeError(f"{n} qubits need {1 << n} amplitudes, got shape {shape}")
+    if not isinstance(values, list):
+        values = values.tolist()
+    parts = tuple(x for z in values for x in (z.real, z.imag))
+    if not all(map(math.isfinite, parts)):
         raise StateError("amplitudes must be finite")
-    return arr
+    return parts
+
+
+def _check_norm(parts):
+    # Past the float range the squared norm is inf, which fails the window.
+    total = _norm_sq(parts[0::2], parts[1::2])
+    if total < DEGENERATE_NORM_SQ:
+        raise DegenerateStateError("amplitude vector is numerically zero")
+    if abs(total - 1.0) >= NORM_TOL_INPUT:
+        raise NormalizationError(
+            f"squared norm is {total!r}, not 1; pass normalize=True to rescale"
+        )
 
 
 def make_state(n, amps, normalize=False):
@@ -120,15 +156,21 @@ def make_state(n, amps, normalize=False):
     nonzero finite vector, at any scale the floats hold, is rescaled to unit
     norm; only the zero vector is rejected.
     """
+    return _make_state(n, _amplitude_parts(n, amps), normalize)
+
+
+def _make_state(n, parts, normalize):
+    """make_state of 2**n finite amplitudes, given as a tuple of parts."""
     if not normalize:
-        return QubitState(n, amps)
+        _check_norm(parts)
+        return QubitState._trusted(n, parts)
     # Scaled by the power of two of the largest real or imaginary part first,
     # so for inputs whose norm is in range unit / norm keeps every bit.
-    unit = _pow2_scaled(_amplitude_vector(n, amps))[0]
-    norm = np.sqrt(_norm_sq(unit))
+    unit = _pow2_scaled(parts)[0]
+    norm = math.sqrt(_norm_sq(unit[0::2], unit[1::2]))
     if norm == 0.0:
         raise DegenerateStateError("amplitude vector is zero")
-    return QubitState._trusted(n, unit / norm)
+    return QubitState._trusted(n, tuple(_divided(unit, norm, 0.0)))
 
 
 class PairEncoding:
@@ -146,23 +188,30 @@ class PairEncoding:
 # imaginary part on i_1 * i_(2k) = S[1][2k] * i_(2k+1).  _PAIR_SIGNS[n] holds
 # those signs on a half's interleaved (re, im) coefficients.
 _PAIR_SIGNS = {
-    n: np.array([[1.0, _sign_rows(n)[1][2 * k]] for k in range(1 << (n - 1))]).ravel()
+    n: tuple(s for k in range(1 << (n - 1)) for s in (1.0, float(_sign_rows(n)[1][2 * k])))
     for n in range(1, MAX_QUBITS + 1)
 }
+
+
+def _pair_parts(parts):
+    """The (u1, u2) coefficient lists of one state's tuple of parts."""
+    m = len(parts) // 2
+    signs = _PAIR_SIGNS[m.bit_length() - 1]
+    return [x * s for x, s in zip(parts[:m], signs)], [x * s for x, s in zip(parts[m:], signs)]
 
 
 def _encode_pairs(amps):
     """The (u1, u2) coefficient arrays, each (N, 2**n), of (N, 2**n) amplitudes."""
     n = amps.shape[-1].bit_length() - 1
     coeffs = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
-    pairs = coeffs.reshape(-1, 2, 1 << n) * _PAIR_SIGNS[n]
+    pairs = coeffs.reshape(-1, 2, 1 << n) * np.array(_PAIR_SIGNS[n])
     return pairs[:, 0], pairs[:, 1]
 
 
 def encode_pair(state):
     """Encode a state into its (u1, u2) Cayley-Dickson pair."""
-    u1, u2 = _encode_pairs(state.amps[None])
-    return PairEncoding(state.n, CDElement(state.n, u1[0]), CDElement(state.n, u2[0]))
+    u1, u2 = _pair_parts(state._parts)
+    return PairEncoding(state.n, CDElement(state.n, u1), CDElement(state.n, u2))
 
 
 def decode_pair(enc):
@@ -173,8 +222,27 @@ def decode_pair(enc):
             f"{enc.n} qubits need two level-{enc.n} elements, "
             f"got levels {enc.u1.level} and {enc.u2.level}"
         )
-    coeffs = np.stack([enc.u1.coeffs, enc.u2.coeffs]) * _PAIR_SIGNS[enc.n]
-    return QubitState(enc.n, coeffs.reshape(-1).view(np.complex128))
+    signs = _PAIR_SIGNS[enc.n]
+    coeffs = enc.u1.coeffs.tolist() + enc.u2.coeffs.tolist()
+    return _make_state(enc.n, tuple(x * s for x, s in zip(coeffs, signs + signs)), False)
+
+
+def _order(n, perm):
+    # The amplitude indices with original qubit perm[j] at position j: bit j
+    # of a new index, from the most significant, is bit perm[j] of the old.
+    order = []
+    for i in range(1 << n):
+        old = 0
+        for j, q in enumerate(perm):
+            old |= (i >> (n - 1 - j) & 1) << (n - 1 - q)
+        order.append(old)
+    return tuple(order)
+
+
+@functools.lru_cache(maxsize=None)
+def _gather(order):
+    # The itemgetter of the parts of the amplitudes at these indices.
+    return itemgetter(*(x for i in order for x in (2 * i, 2 * i + 1)))
 
 
 def permute_qubits(state, perm):
@@ -182,22 +250,26 @@ def permute_qubits(state, perm):
     n = state.n
     if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
         raise StateError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
-    t = state.amps.reshape((2,) * n)
-    return QubitState._trusted(n, np.transpose(t, axes=perm).reshape(-1))
+    return QubitState._trusted(n, _gather(_order(n, [int(q) for q in perm]))(state._parts))
 
 
 # _FRONT[n][q]: the amplitude indices with qubit q first, the others in order.
 _FRONT = {
-    n: np.stack([np.moveaxis(np.arange(1 << n).reshape((2,) * n), q, 0).ravel() for q in range(n)])
+    n: tuple(_order(n, (q, *(p for p in range(n) if p != q))) for q in range(n))
     for n in range(1, MAX_QUBITS + 1)
 }
+
+
+def _front(state, qubit):
+    # The parts of the state with `qubit` first, the others in order.
+    return _gather(_FRONT[state.n][qubit])(state._parts)
 
 
 def bring_to_front(state, qubit):
     """Permutation helper: move one qubit into role 0, others keep their order."""
     if not (_is_int(qubit) and 0 <= qubit < state.n):
         raise StateError(f"qubit index {qubit!r} out of range for n={state.n}")
-    return QubitState._trusted(state.n, state.amps[_FRONT[state.n][qubit]])
+    return QubitState._trusted(state.n, _front(state, qubit))
 
 
 # numpy's SeedSequence hash: its constants, 32-bit words and the four-word
@@ -235,10 +307,6 @@ def _word_count(value):
     return max(1, (value.bit_length() + 31) // 32)
 
 
-# generate_state's steps, one per output word: four words make two uint64 keys.
-_OUTPUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 0, _POOL_SIZE)
-
-
 def _philox_keys(seed, indices):
     """The (N, 2) uint64 Philox keys of SeedSequence(entropy=seed,
     spawn_key=(index,)).generate_state(2, np.uint64), one row per index.
@@ -265,8 +333,9 @@ def _philox_keys(seed, indices):
         steps = _hash_steps(_INIT_A, _MULT_A, taken + _POOL_SIZE * k, _POOL_SIZE)
         mixed = _mix(pool, _hashmix(word, *steps))
         pool = np.where(has_word, mixed, pool)
-    # Four 32-bit output words per row, read as two little-endian uint64s.
-    out = _hashmix(pool, *_OUTPUT_STEPS)
+    # generate_state's steps, one per output word: four 32-bit words per
+    # row, read as two little-endian uint64s.
+    out = _hashmix(pool, *_hash_steps(_INIT_B, _MULT_B, 0, _POOL_SIZE))
     return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
@@ -317,9 +386,10 @@ def random_state(n, seed, index=0):
 
 def _uniform(n, indices):
     # The equal superposition of the basis states at these amplitude indices.
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[indices] = 1 / np.sqrt(len(indices))
-    return QubitState._trusted(n, amps)
+    parts = [0.0] * (2 << n)
+    for k in indices:
+        parts[2 * k] = 1 / math.sqrt(len(indices))
+    return QubitState._trusted(n, tuple(parts))
 
 
 def basis_state(n, bits):
@@ -353,7 +423,7 @@ def product_state(factors):
     _check_qubit_count(len(factors))
     amps = np.array([[1.0, 0.0]])
     for f in factors:
-        pair = _pow2_scaled(_amplitude_vector(1, f))[0].view(np.float64).reshape(2, 2)
+        pair = np.array(_pow2_scaled(_amplitude_parts(1, f))[0]).reshape(2, 2)
         amps = _mul(np.repeat(amps, 2, axis=0), np.tile(pair, (len(amps), 1)))
     return make_state(len(factors), amps.copy().view(np.complex128).ravel(), normalize=True)
 
@@ -364,7 +434,8 @@ def state_to_json(state):
     Floats are written with repr precision (up to 17 significant digits), so
     loading the text reproduces the amplitudes bit for bit.
     """
-    pairs = state.amps.view(np.float64).reshape(-1, 2).tolist()
+    parts = state._parts
+    pairs = [list(pair) for pair in zip(parts[0::2], parts[1::2])]
     return json.dumps({"n": state.n, "amplitudes": pairs})
 
 
@@ -381,7 +452,7 @@ def state_from_json(text, normalize=False):
         # complex() takes a bool as 0 or 1; JSON true/false is no amplitude.
         if any(_is_pun(pair) for pair in pairs):
             raise TypeError
-        amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        amps = [complex(re, im) for re, im in pairs]
     except (TypeError, ValueError):
         raise StateError("state file amplitudes must be [re, im] pairs") from None
     except OverflowError:

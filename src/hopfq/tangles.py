@@ -2,33 +2,52 @@
 
 Everything here goes through reduced density matrices or polynomial
 invariants of the amplitude tensor, so it cross-validates the fibration
-coordinates rather than reusing them.  The one-qubit reductions and the
-separability minors are numpy batches; the spin-flip Gram behind the
-concurrence and the three-qubit tangles is taken in Python floats.
+coordinates rather than reusing them.  One state's reductions, separability
+minors and spin-flip Gram are taken in Python floats, from its amplitudes
+with each qubit brought to the front in turn; the one-qubit tangle of many
+states, which sample tables read, is a numpy batch with the same bits.
 """
 
-import numpy as np
-
-from .cdnum import _slot_sums
-from .states import _FRONT, ShapeError, bring_to_front
+from .cdnum import _slot_sums, np
+from .states import ShapeError, _front, bring_to_front
 
 SEP_TOL = 1e-9
 
 
-def _front_rows(state, qubit):
-    """The amplitudes as a 2 x 2**(n-1) matrix: row b holds those with the
-    chosen qubit at b, the other qubits in their order."""
-    return bring_to_front(state, qubit).amps.reshape(2, -1)
+def _rho_front(front):
+    """rho of the first qubit of one state's parts: (|a|^2, |b|^2, Re<a, b>,
+    Im<a, b>), a and b its halves, bit for bit a row of _rho_first: each
+    of its eight slot sums adds from 0.0 in slot order."""
+    m = len(front) // 2
+    g00 = g11 = g22 = g33 = g02 = g13 = g03 = g12 = 0.0
+    for ar, ai, br, bi in zip(front[0:m:2], front[1:m:2], front[m::2], front[m + 1::2]):
+        g00 += ar * ar
+        g11 += ai * ai
+        g22 += br * br
+        g33 += bi * bi
+        g02 += ar * br
+        g13 += ai * bi
+        g03 += ar * bi
+        g12 += ai * br
+    return g00 + g11, g22 + g33, g02 + g13, g03 - g12
+
+
+def _tau_front(front):
+    """4*det(rho) of the first qubit of one state's parts, bit for bit a
+    row of _tau_first."""
+    aa, bb, ab_re, ab_im = _rho_front(front)
+    return 4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))
 
 
 def partial_trace_to_single(state, keep):
     """Reduced 2x2 density matrix of one qubit, tracing out the rest."""
-    aa, bb, re, im = (float(v[0]) for v in _rho_first(_front_rows(state, keep).reshape(1, -1)))
+    aa, bb, re, im = _rho_front(bring_to_front(state, keep)._parts)
     return np.array([[aa, complex(re, -im)], [complex(re, im), bb]])
 
 
 def _spin_flip_gram(rows):
-    """The spin-flip Gram matrix of each row of (N, 2**n) amplitudes, n >= 2.
+    """The spin-flip Gram matrix of each of some states, each given as its
+    tuple of 2**(n+1) (re, im) parts, n >= 2.
 
     With v_k the 4-vector of the row's last two qubits when the others read
     k, G_kl = sum_a (-1)**popcount(a) v_k[a] v_l[a XOR 3], returned per row
@@ -40,7 +59,8 @@ def _spin_flip_gram(rows):
     CPU.
     """
     grams = []
-    for v in np.ascontiguousarray(rows).view(np.float64).reshape(len(rows), -1, 8).tolist():
+    for parts in rows:
+        v = [parts[k:k + 8] for k in range(0, len(parts), 8)]
         h = [[((ar * dr + ai * -di) + (br * -cr + bi * ci),
                (ar * di + ai * dr) + (br * -ci + bi * -cr))
               for _, _, _, _, cr, ci, dr, di in v]
@@ -82,7 +102,7 @@ def concurrence(state):
     spin-flip Gram."""
     if state.n != 2:
         raise ShapeError("concurrence is defined for 2 qubits")
-    return abs(complex(*_spin_flip_gram(state.amps[None])[0][0][0]))
+    return abs(complex(*_spin_flip_gram([state._parts])[0][0][0]))
 
 
 def hyperdeterminant_222(state):
@@ -96,7 +116,7 @@ def hyperdeterminant_222(state):
     """
     if state.n != 3:
         raise ShapeError("the hyperdeterminant is defined for 3 qubits")
-    return _det(_spin_flip_gram(state.amps[_FRONT[3][2]][None])[0])
+    return _det(_spin_flip_gram([_front(state, 2)])[0])
 
 
 def three_tangle(state):
@@ -115,14 +135,14 @@ def pair_tangles(state):
     """
     if state.n != 3:
         raise ShapeError("pair_tangles is defined for 3 qubits")
-    return _three_qubit_tangles(_spin_flip_gram(state.amps[_FRONT[3]]))[1]
+    return _three_qubit_tangles(_spin_flip_gram([_front(state, q) for q in range(3)]))[1]
 
 
 def two_tangles(state):
     """The one-vs-rest tangle of each qubit, (tau_A, tau_B, tau_C), for 3 qubits."""
     if state.n != 3:
         raise ShapeError("two_tangles is defined for 3 qubits")
-    return tuple(_tau_first(state.amps[_FRONT[3]]).tolist())
+    return tuple(_tau_front(_front(state, q)) for q in range(3))
 
 
 def _rho_first(amps):
@@ -145,20 +165,30 @@ def _tau_first(amps):
 
 def tau_one_rest(state, qubit):
     """One-vs-rest tangle 4*det(rho_qubit); equals the linear entropy measure."""
-    return float(_tau_first(_front_rows(state, qubit).reshape(1, -1))[0])
+    return _tau_front(bring_to_front(state, qubit)._parts)
 
 
-def _separable_rows(m):
-    """separable_one_rest of each (2, h) front-row matrix of an (N, 2, h) stack."""
-    # Entry (i, j) of p is a_i b_j, so b_i a_j = a_j b_i is entry (j, i).
-    p = m[:, 0, :, None] * m[:, 1, None, :]
-    minors = p - p.swapaxes(1, 2)
-    return np.abs(minors).max(axis=(1, 2)) < SEP_TOL
+def _separable_front(front):
+    """True when the first qubit of one state's parts factors out: every 2x2
+    minor a_i b_j - a_j b_i of its halves a and b is below SEP_TOL in
+    magnitude.  Each product is formed as numpy's complex multiply forms
+    it, one rounding per Python float operation, so the verdict follows no
+    CPU; the first minor at or past the tolerance decides it."""
+    m = len(front) // 2
+    re_a, im_a, re_b, im_b = front[0:m:2], front[1:m:2], front[m::2], front[m + 1::2]
+    for i, (ar, ai, br, bi) in enumerate(zip(re_a, im_a, re_b, im_b)):
+        for cr, ci, dr, di in zip(re_a[i + 1:], im_a[i + 1:], re_b[i + 1:], im_b[i + 1:]):
+            # (a_i b_j) - (a_j b_i), a_j = c and b_j = d.
+            minor = complex((ar * dr - ai * di) - (cr * br - ci * bi),
+                            (ar * di + ai * dr) - (cr * bi + ci * br))
+            if not abs(minor) < SEP_TOL:
+                return False
+    return True
 
 
 def separable_one_rest(state, qubit):
     """True when the chosen qubit factors out: every 2x2 minor vanishes."""
-    return bool(_separable_rows(_front_rows(state, qubit)[None])[0])
+    return _separable_front(bring_to_front(state, qubit)._parts)
 
 
 def classify_three(state):
@@ -166,7 +196,7 @@ def classify_three(state):
     factors out, 'fully-separable' when all three do, else 'bi-separable'."""
     if state.n != 3:
         raise ShapeError("classification is defined for 3 qubits")
-    return _classify_three(_separable_rows(state.amps[_FRONT[3]].reshape(3, 2, -1)).tolist())
+    return _classify_three([_separable_front(_front(state, q)) for q in range(3)])
 
 
 def _classify_three(separable):
@@ -181,9 +211,9 @@ def _report_fields(state):
     n = state.n
     if n == 1:
         return {}
-    # Row q of fronts is the state with qubit q brought to the front.
-    fronts = state.amps[_FRONT[n]]
-    fields = {"tau_one_rest": _tau_first(fronts).tolist()}
+    # Entry q of fronts is the state's parts with qubit q brought to the front.
+    fronts = [_front(state, q) for q in range(n)]
+    fields = {"tau_one_rest": [_tau_front(front) for front in fronts]}
     if n == 2:
         fields["concurrence"] = abs(complex(*_spin_flip_gram(fronts[:1])[0][0][0]))
     if n == 3:
@@ -192,7 +222,7 @@ def _report_fields(state):
         # two_tangles(state) is the one-vs-rest tau of each qubit: reuse it.
         fields["two_tangles"] = list(fields["tau_one_rest"])
         fields["pair_tangles"] = list(pairs)
-    fields["separable"] = _separable_rows(fronts.reshape(n, 2, -1)).tolist()
+    fields["separable"] = [_separable_front(front) for front in fronts]
     if n == 3:
         fields["classification"] = _classify_three(fields["separable"])
     return fields

@@ -33,6 +33,7 @@ from hopfq.reporting import PUBLISHED_STATES, analysis_report
 from hopfq.states import (
     _FRONT,
     PairEncoding,
+    QubitState,
     _encode_pairs,
     basis_state,
     bell_state,
@@ -264,7 +265,7 @@ def _exact_taus(n, parts):
     norm = sum(p * p for p in parts)
     amps = list(zip(parts[0::2], parts[1::2]))
     taus = []
-    for front in _FRONT[n].tolist():
+    for front in _FRONT[n]:
         a, b = [amps[k] for k in front[: 1 << (n - 1)]], [amps[k] for k in front[1 << (n - 1) :]]
         aa = sum(x * x + y * y for x, y in a)
         bb = sum(x * x + y * y for x, y in b)
@@ -691,3 +692,28 @@ def test_batch_kernels_sum_each_row_alone_in_slot_order(n, rows):
         aa, bb = g[0, 0] + g[1, 1], g[2, 2] + g[3, 3]
         ab_re, ab_im = g[0, 2] + g[1, 3], g[0, 3] - g[1, 2]
         assert (4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))).tobytes() == tau[row].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_one_state_in_python_floats_is_its_batch_row(n, data):
+    # One state's report runs in Python floats; sample tables run the numpy
+    # batch kernels.  Every base-map field and every qubit's tau of the one
+    # is bit for bit the other's row, on Haar states and on sparse
+    # signed-zero ones, normalized or as drawn.
+    if data.draw(st.booleans()):
+        s = _draw_haar_or_sparse(data, n)
+    else:
+        parts = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 5e-324]),
+                                   min_size=2 << n, max_size=2 << n))
+        s = QubitState._trusted(n, tuple(parts))
+    bc, batch = base_coordinates(s), _base_coordinates(s.amps[None])
+    for field in ("delta", "comps", "e_complement", "e_sum", "norm_defect"):
+        assert np.float64(getattr(bc, field)).tobytes() == getattr(batch, field)[0].tobytes()
+    fronts = np.array([bring_to_front(s, q).amps for q in range(n)])
+    taus = [tau_one_rest(s, q) for q in range(n)]
+    assert np.array(taus).tobytes() == _tau_first(fronts).tobytes()
+    report = analysis_report(s)
+    assert np.array(report["comps"]).tobytes() == batch.comps[0].tobytes()
+    if n >= 2:
+        assert np.array(report["tau_one_rest"]).tobytes() == _tau_first(fronts).tobytes()

@@ -84,8 +84,8 @@ _REPORTING_IMPORTS = {
     "tangles": {"_report_fields", "_tau_first"},
 }
 _KERNEL_NAMES = {
-    "_FRONT", "_spin_flip_gram", "_separable_rows", "_three_qubit_tangles", "_classify_three",
-    "_e_values", "_ball", "_at_origin", "base_coordinates",
+    "_FRONT", "_front", "_spin_flip_gram", "_separable_front", "_tau_front", "_three_qubit_tangles",
+    "_classify_three", "_base_point", "_e_values", "_ball", "_at_origin", "base_coordinates",
 }
 
 

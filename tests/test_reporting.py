@@ -42,7 +42,7 @@ from hopfq.states import (
     w_state,
 )
 from hopfq.tangles import (
-    _separable_rows,
+    _separable_front,
     classify_three,
     concurrence,
     pair_tangles,
@@ -321,12 +321,13 @@ def test_sample_text_does_not_depend_on_chunk_size(monkeypatch, default_chunk_ta
 
 def test_report_computes_base_coordinates_once(monkeypatch):
     calls = []
+    base_point = hopfq.fibration._base_point
 
     def counted(state):
         calls.append(state)
-        return base_coordinates(state)
+        return base_point(state)
 
-    monkeypatch.setattr(hopfq.fibration, "base_coordinates", counted)
+    monkeypatch.setattr(hopfq.fibration, "_base_point", counted)
     state = random_state(4, seed=5, index=2)
     report = analysis_report(state)
     assert len(calls) == 1
@@ -345,32 +346,32 @@ def test_report_tests_each_qubit_for_separability_once(monkeypatch):
         (make_state(3, [0, 0, r, 0, 0, 0, 0, r]), [False, True, False], "bi-separable"),
         (make_state(3, [0.5, 0.5, 0, 0, 0.5, 0.5, 0, 0]), [True, True, True], "fully-separable"),
     ] + [(random_state(3, seed=12, index=k), [False] * 3, "entangled") for k in range(3)]
-    stacks, gathers = [], []
+    tests, gathers = [], []
 
-    def counted_rows(m):
-        stacks.append(m.shape)
-        return _separable_rows(m)
+    def counted_test(front):
+        tests.append(front)
+        return _separable_front(front)
 
-    front_rows = hopfq.tangles._front_rows
+    front = hopfq.tangles._front
 
     def counted_front(state, qubit):
         gathers.append(qubit)
-        return front_rows(state, qubit)
+        return front(state, qubit)
 
     for state, separable, label in cases:
-        monkeypatch.setattr(hopfq.tangles, "_separable_rows", counted_rows)
-        monkeypatch.setattr(hopfq.tangles, "_front_rows", counted_front)
-        stacks.clear()
+        monkeypatch.setattr(hopfq.tangles, "_separable_front", counted_test)
+        monkeypatch.setattr(hopfq.tangles, "_front", counted_front)
+        tests.clear()
         gathers.clear()
         report = analysis_report(state)
-        # One minor test over the front rows of all three qubits, gathered
-        # once, and no per-qubit gather besides; classify_three reads the
-        # class off that one test's list too.
-        assert stacks == [(3, 2, 4)]
-        assert gathers == []
-        stacks.clear()
+        # One minor test per qubit, on its front rows, each gathered once for
+        # every tangle field; classify_three reads the class off one such
+        # list too.
+        assert tests == [front(state, q) for q in range(3)]
+        assert gathers == [0, 1, 2]
+        tests.clear()
         assert classify_three(state) == label
-        assert stacks == [(3, 2, 4)]
+        assert tests == [front(state, q) for q in range(3)]
         monkeypatch.undo()
         assert report["separable"] == separable
         assert separable == [separable_one_rest(state, q) for q in range(3)]

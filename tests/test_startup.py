@@ -1,5 +1,5 @@
 """What importing the package loads: the submodules run on first use, and the
-sign-table commands never import numpy."""
+sign-table commands, analyze and verify-paper never import numpy."""
 
 import os
 import pathlib
@@ -82,7 +82,8 @@ def _run(*args):
 
 
 def test_census_and_table_run_without_numpy():
-    # The script CI's numpy-free job runs, here on an interpreter with numpy.
+    # The script CI's numpy-free job runs, here on an interpreter with numpy:
+    # the census, the table, analyze and verify-paper.
     result = _run(str(ROOT / "tests" / "numpy_free.py"))
     assert result.returncode == 0, result.stderr.decode(errors="replace")
     assert (result.stdout, result.stderr) == (b"", b"")

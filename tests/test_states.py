@@ -645,6 +645,38 @@ def test_make_state_rejects_type_puns():
             QubitState(1, amps)
 
 
+_PYTHON_NUMBERS = (
+    st.integers(-(2**1100), 2**1100)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.complex_numbers(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 5e-324, 1e308])
+)
+
+
+def _outcome(call):
+    try:
+        return call()._parts
+    except StateError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5), values=st.lists(_PYTHON_NUMBERS, max_size=18))
+def test_a_list_of_python_numbers_reads_as_numpy_reads_it(n, values):
+    # A list of Python ints, floats and complex numbers is read without
+    # numpy: the same parts, or the same error, as numpy's complex128 array
+    # of the list, including the order the checks raise in.
+    try:
+        array = np.array(values, dtype=np.complex128)
+    except OverflowError:
+        assert _outcome(lambda: make_state(n, values)) == (StateError, "amplitudes must be numbers")
+        return
+    for normalize in (False, True):
+        want = _outcome(lambda: make_state(n, array, normalize=normalize))
+        assert _outcome(lambda: make_state(n, values, normalize=normalize)) == want
+        assert _outcome(lambda: make_state(n, tuple(values), normalize=normalize)) == want
+
+
 def test_make_state_stores_verbatim():
     amps = np.array([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], dtype=np.complex128)
     s = make_state(2, amps)

@@ -219,7 +219,7 @@ def test_tangles_within_the_parents_error_of_exact():
         (g,), = _exact_gram(s.amps)
         worst_concurrence = max(worst_concurrence, _error(concurrence(s), _exact_abs(g)))
         s = random_state(3, 2501, k)
-        exact = 4 * _exact_abs(_exact_det(_exact_gram(s.amps[_FRONT[3][2]])))
+        exact = 4 * _exact_abs(_exact_det(_exact_gram(s.amps[list(_FRONT[3][2])])))
         worst_three_tangle = max(worst_three_tangle, _error(three_tangle(s), exact))
     assert worst_concurrence <= 1.952e-16
     assert worst_three_tangle <= 2.869e-16
@@ -252,14 +252,15 @@ def test_spin_flip_gram_rows_alone_and_as_python_floats(n, rows):
     # numbers (the sign of a zero is pinned by the digest below).
     amps = _hostile_rows(n, rows)
     m = 1 << (n - 2)
-    grams = _spin_flip_gram(amps)
+    grams = _spin_flip_gram(amps.view(np.float64).tolist())
     assert len(grams) == rows
     for row, gram in enumerate(grams):
         parts = np.array(gram)
         assert parts.shape == (m, m, 2)
         assert {type(x) for line in gram for entry in line for x in entry} == {float}
         assert parts.tobytes() == parts.swapaxes(0, 1).tobytes()
-        assert np.array(_spin_flip_gram(amps[row:row + 1])[0]).tobytes() == parts.tobytes()
+        alone = _spin_flip_gram([tuple(amps[row].view(np.float64).tolist())])[0]
+        assert np.array(alone).tobytes() == parts.tobytes()
         assert gram == _gram_reference(amps[row], m)
 
 
@@ -270,7 +271,7 @@ def test_spin_flip_gram_bytes_are_pinned():
     digest = hashlib.sha256()
     for n in (2, 3, 4):
         for rows in (1, 2, 17):
-            for gram in _spin_flip_gram(_hostile_rows(n, rows)):
+            for gram in _spin_flip_gram(_hostile_rows(n, rows).view(np.float64).tolist()):
                 digest.update(np.array(gram).tobytes())
     assert digest.hexdigest() == (
         "ed2879b7a708939adfd60795a6e08bb044a795d3363e229a58879dff887ef467"
