@@ -285,24 +285,14 @@ def _xor_terms(level):
     return gather, signs
 
 
-def _slot_sums(terms):
-    """Sums of terms, (slots, ...), over the leading slot axis: the one rule
-    of every per-state sum.  Copied C-contiguous if they are not, the slots
-    are outermost in memory and numpy adds one trailing slice after another,
-    so each column sums in slot order whatever the other axes hold, and a
-    state's sums are bit for bit the same alone or in a batch.  That needs
-    two or more values per slot: numpy may sum (slots,) or (slots, 1)
-    pairwise, as it may the contiguous last axis or a strided view.
-    """
-    return np.ascontiguousarray(terms).sum(axis=0)
-
-
 def _norm_sq(re, im=()):
     """Squared norm of complex values given as float sequences of their real
     and imaginary parts (none for real values): the squares of the real parts
     added from 0.0 in index order, then those of the imaginary parts, then
-    the two sums added; one rounding per Python float operation, as
-    _slot_sums adds (numpy's reduction starts from its identity, 0.0)."""
+    the two sums added; one rounding per Python float operation.  The values
+    may be floats or same-shape float arrays, each the values of its states:
+    every operation is elementwise, so each state gets the bits it gets
+    alone."""
     re_sq = im_sq = 0.0
     for x in re:
         re_sq += x * x
@@ -322,7 +312,12 @@ def _mul(x, y):
     x of another width raises before the gather.
 
     Every form runs one path: a 1-D y is one row, N = 1, and the terms,
-    laid out as (a, k, N), reduce over a through _slot_sums.  The int8 signs
+    laid out as a new C-contiguous (a, k, N) buffer, sum over a.  With the
+    slots outermost in memory numpy adds one (k, N) slice after another,
+    from its identity 0.0, so each product sums in slot order whatever N
+    is, and a row's bits are the same alone or in a batch.  That needs two
+    or more values per slot, which every level from 1 up has: numpy may sum
+    a (slots,) or (slots, 1) array pairwise.  The int8 signs
     take the operands' dtype: float arrays give float products, object
     arrays of Fractions exact ones.  A sign is +-1, so applying it last
     gives the bits of applying it first.
@@ -337,7 +332,7 @@ def _mul(x, y):
     # x's coefficients as contiguous (a, 1, N) rows: unit-stride reads.
     terms *= np.ascontiguousarray(x.T).reshape(m, 1, -1)
     terms *= signs[..., None]
-    return _slot_sums(terms).T.reshape(y.shape)
+    return terms.sum(axis=0).T.reshape(y.shape)
 
 
 def cd_mul(x, y):

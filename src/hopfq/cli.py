@@ -8,8 +8,9 @@ Subcommands:
     zero-divisors  basis zero-divisor census and the basis product table
 
 Output goes to standard output or --out; error lines go only to standard error.
-Exit codes: 0 success, 1 parse error, 2 usage error, invalid input or state, or
-unwritable output, 3 numeric failure, 4 mismatch under --strict.
+Exit codes: 0 success, 1 parse error, 2 usage error, invalid input or state,
+unwritable output, or sample without numpy installed, 3 numeric failure,
+4 mismatch under --strict.
 """
 
 import argparse
@@ -167,6 +168,11 @@ def main(argv=None):
         return _fail(exc, EXIT_STATE)
     except ArithmeticError as exc:
         return _fail(f"numeric failure: {exc}", EXIT_NUMERIC)
+    except ModuleNotFoundError as exc:
+        # Only sample imports numpy; any other missing module is a fault.
+        if exc.name != "numpy":
+            raise
+        return _fail(f"{args.command} needs numpy, which is not installed", EXIT_STATE)
 
 
 if __name__ == "__main__":

@@ -18,25 +18,26 @@ norms are not multiplicative; the gap is exactly the norm defect
 4*(||u1||^2*||u2||^2 - ||P||^2), which base_coordinates records.
 e_complement is the headline E in reports.
 
-One state's coordinates are taken in Python floats (_base_point), those of
-many states, for sample tables, in a numpy batch (_base_coordinates); both
-add every sum in the same order, so a state's values are bit for bit the
+One kernel, _base_point, takes the coordinates of one state in Python floats
+and, for sample tables, those of many states at once from numpy columns,
+each one amplitude part of every state.  Its arithmetic is elementwise, every
+sum added from 0.0 in slot order, so a state's values are bit for bit the
 same either way.
 """
 
 import functools
 
-from .cdnum import CDElement, _conj_coeffs, _mul, _norm_sq, _raising, _sign_rows, _slot_sums, np
-from .states import ShapeError, _encode_pairs, _pair_parts
+from .cdnum import CDElement, _conj_coeffs, _mul, _norm_sq, _raising, _sign_rows, np
+from .states import ShapeError, _pair_parts
 
 E_SNAP_WINDOW = 1e-9
 _MES_TOL = 1e-9
 
 
 class BaseCoordinates:
-    """Base-point data: delta, comps, and the E aggregates, as floats (comps
-    an array, or a list inside the library) for one state, or as arrays with
-    one row per state for many."""
+    """Base-point data: delta, comps, and the E aggregates of one state, as
+    floats, comps an array (a list inside the library).  Inside the library,
+    for N states at once, each float is an (N,) array, one entry per state."""
 
     __slots__ = ("n", "delta", "comps", "e_complement", "e_sum", "norm_defect")
 
@@ -47,29 +48,6 @@ class BaseCoordinates:
         self.e_complement = e_complement
         self.e_sum = e_sum
         self.norm_defect = norm_defect
-
-
-def _base_coordinates(amps):
-    """Base-point data of (N, 2**n) amplitudes: BaseCoordinates of arrays.
-
-    delta, e_complement, e_sum and norm_defect have shape (N,), comps
-    (N, 2**n).  Every row is bit for bit the row of that state alone.
-    u2 = 0 needs no special casing: P vanishes and delta = +1, the north pole.
-    """
-    u1, u2 = _encode_pairs(amps)
-    p = _mul(u2, _conj_coeffs(u1))
-    comps = 2.0 * p
-    # u1, u2, p and the tail comps[2:] (its first two slots zero), squared and
-    # summed over the slots.
-    terms = np.array([u1.T, u2.T, p.T, comps.T])
-    terms[3, :2] = 0.0
-    n1, n2, p_sq, e_sum = _slot_sums(np.square(terms, out=terms).swapaxes(0, 1))
-    delta = n1 - n2
-    e_complement = 1.0 - delta * delta - comps[:, 0] ** 2 - comps[:, 1] ** 2
-    norm_defect = 4.0 * (n1 * n2 - p_sq)
-    return BaseCoordinates(
-        amps.shape[-1].bit_length() - 1, delta, comps, e_complement, e_sum, norm_defect
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,17 +61,20 @@ def _product_rows(level):
     )
 
 
-def _base_point(state):
-    """One state's base-point data, in Python floats, comps a list: bit for
-    bit its row of _base_coordinates.  Each coefficient of P sums its terms
-    x[a] * S[a][a^k] * y[a^k] from 0.0 in slot order, as _mul does (a sign
-    of +-1 commutes with rounding), and each squared norm as _slot_sums adds."""
-    u1, u2 = _pair_parts(state._parts)
+def _base_point(n, parts):
+    """Base-point data, comps a list, of one n-qubit state's tuple of float
+    parts, or of N states' 2**(n+1) (N,) float columns, each one part of
+    every state.  Each coefficient of P sums its terms x[a] * S[a][a^k] * y[a^k]
+    from 0.0 in slot order, as _mul does (a sign of +-1 commutes with
+    rounding), and each squared norm as _norm_sq adds.  Every operation is
+    elementwise, so a column holds the bits of its state alone.  A sum of no
+    terms, e_sum at n = 1, is the float 0.0 for columns too."""
+    u1, u2 = _pair_parts(parts)
     neg = [-x for x in u1]
     # conj(u1), then its negation.
     factors = [u1[0], *neg[1:], neg[0], *u1[1:]]
     p = []
-    for row in _product_rows(state.n):
+    for row in _product_rows(n):
         total = 0.0
         for x, b in zip(u2, row):
             total += x * factors[b]
@@ -103,12 +84,12 @@ def _base_point(state):
     delta = n1 - n2
     e_complement = 1.0 - delta * delta - comps[0] * comps[0] - comps[1] * comps[1]
     norm_defect = 4.0 * (n1 * n2 - _norm_sq(p))
-    return BaseCoordinates(state.n, delta, comps, e_complement, _norm_sq(comps[2:]), norm_defect)
+    return BaseCoordinates(n, delta, comps, e_complement, _norm_sq(comps[2:]), norm_defect)
 
 
 def base_coordinates(state):
     """Project a state to its base-sphere coordinates (pure quadratic forms)."""
-    bc = _base_point(state)
+    bc = _base_point(state.n, state._parts)
     bc.comps = np.array(bc.comps)
     return bc
 
@@ -132,7 +113,7 @@ def _e_values(bc):
 def _report_fields(state):
     """The analysis report's base-map fields of one state, in report order:
     delta and comps, the E values for n >= 2, the ball point and mes at n = 4."""
-    bc = _base_point(state)
+    bc = _base_point(state.n, state._parts)
     fields = {"delta": bc.delta, "comps": bc.comps}
     if state.n >= 2:
         fields["e_complement"], fields["e_sum"], fields["norm_defect"] = _e_values(bc)
@@ -147,7 +128,7 @@ def e_measure(state):
     """Both E expressions plus the norm defect: (e_complement, e_sum, defect)."""
     if state.n < 2:
         raise ShapeError("entanglement measure needs at least 2 qubits")
-    return _e_values(_base_point(state))
+    return _e_values(_base_point(state.n, state._parts))
 
 
 def _quotient_blocks_2(amps):
@@ -223,7 +204,7 @@ def ball_coordinates(state):
     """The 4-qubit solid-ball point (comps[0], comps[1], delta)."""
     if state.n != 4:
         raise ShapeError("ball coordinates are defined for 4 qubits")
-    return _ball(_base_point(state))
+    return _ball(_base_point(state.n, state._parts))
 
 
 def is_mes(state):

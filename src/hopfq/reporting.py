@@ -15,10 +15,10 @@ import re
 
 from .braket import _parse_parts
 from .cdnum import _divided, np
-from .fibration import _base_coordinates, _report_fields as _base_fields
+from .fibration import _base_point, _report_fields as _base_fields
 from .states import (QubitState, _check_natural, _check_qubit_count, _make_state,
                      _random_amplitudes, bring_to_front)
-from .tangles import _report_fields as _tangle_fields, _tau_first
+from .tangles import _report_fields as _tangle_fields, _tau_front
 
 MATCH_TOL = 1e-3
 
@@ -261,20 +261,28 @@ def rows_to_csv(rows):
     return out.getvalue()
 
 
-# States per step of sample_rows.  A step's largest array is the product's
-# one (16, 16, states) term buffer at n = 4 (0.5 MB at 256 states), well
-# under the text of a 10**4-state table, so streaming the steps keeps peak
-# memory down.
-_SAMPLE_CHUNK = 256
+# States per step of sample_rows.  The base-point and tau kernels make one
+# ufunc call per term per step, about 800 at n = 4 whatever the step's size,
+# while the step's arrays grow with it (at n = 4, 128 KB each of amplitudes
+# and of part columns per 512 states), all well under the text of a
+# 10**4-state table, so streaming the steps keeps peak memory down.  With
+# perfbench's sample workload (10 s runs, one pinned CPU of a 2-core x86 VM,
+# three runs each) the p50 per 10**4-state batch was 74-77 ms at 256 states
+# per step, 69-74 ms at 512 and 63-69 ms at 1024, where the peak RSS was
+# 2 MB (5%) higher than at 512.
+_SAMPLE_CHUNK = 512
 
 
 def sample_rows(n, count, seed):
     """The text of sample_table as a stream: the header line, then the rows
-    of each chunk of states as one string.  The arguments are checked on the
-    call, before the stream is returned."""
+    of each chunk of states as one string.  The arguments are checked, and
+    numpy imported, on the call, before the stream is returned."""
     _check_qubit_count(n)
     _check_natural("count", count)
     _check_natural("seed", seed)
+    # Sample tables need numpy: without it the call raises here, before a
+    # line is streamed.
+    np.ndarray
     return _sample_chunks(n, count, seed)
 
 
@@ -283,12 +291,16 @@ def _sample_chunks(n, count, seed):
     for start in range(0, count, _SAMPLE_CHUNK):
         indices = range(start, min(start + _SAMPLE_CHUNK, count))
         amps = _random_amplitudes(n, seed, indices)
-        bc = _base_coordinates(amps)
-        columns = [bc.e_complement, bc.e_sum, bc.norm_defect, _tau_first(amps)]
+        # The one-state kernels take one (N,) column per amplitude part, each
+        # that part of every state.
+        parts = list(np.ascontiguousarray(amps.view(np.float64).T))
+        bc = _base_point(n, parts)
+        columns = [bc.e_complement, bc.e_sum, bc.norm_defect, _tau_front(parts)]
         if n == 4:
-            x, y, z = bc.comps[:, 0], bc.comps[:, 1], bc.delta
+            x, y, z = bc.comps[0], bc.comps[1], bc.delta
             columns.append(np.sqrt(x * x + y * y + z * z))
-        rows = zip(indices, *(c.tolist() for c in columns))
+        # e_sum at n = 1 is the float 0.0 of every state.
+        rows = zip(indices, *(c.tolist() for c in np.broadcast_arrays(*columns)))
         # %r is repr, so one format per chunk writes each row's own text.
         row_format = "%d" + ",%r" * len(columns) + "\n"
         yield row_format * len(indices) % tuple(itertools.chain.from_iterable(rows))

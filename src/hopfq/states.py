@@ -17,8 +17,7 @@ import os
 from operator import itemgetter
 
 from .cdnum import (
-    MAX_LEVEL, CDElement, _divided, _is_int, _is_pun, _mul, _norm_sq, _pow2_scaled, _sign_rows,
-    _slot_sums, np,
+    MAX_LEVEL, CDElement, _divided, _is_int, _is_pun, _mul, _norm_sq, _pow2_scaled, _sign_rows, np,
 )
 
 # n qubits encode at level n.
@@ -74,7 +73,8 @@ class QubitState:
         self._hold(n, parts, None)
 
     def _hold(self, n, parts, amps):
-        object.__setattr__(self, "n", n)
+        # A Python int, whatever integer type n came as: JSON writes no numpy int.
+        object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_amps", amps)
 
@@ -194,18 +194,11 @@ _PAIR_SIGNS = {
 
 
 def _pair_parts(parts):
-    """The (u1, u2) coefficient lists of one state's tuple of parts."""
+    """The (u1, u2) coefficient lists of one state's tuple of parts, or of
+    many states' list of part columns, each one part of every state."""
     m = len(parts) // 2
     signs = _PAIR_SIGNS[m.bit_length() - 1]
     return [x * s for x, s in zip(parts[:m], signs)], [x * s for x, s in zip(parts[m:], signs)]
-
-
-def _encode_pairs(amps):
-    """The (u1, u2) coefficient arrays, each (N, 2**n), of (N, 2**n) amplitudes."""
-    n = amps.shape[-1].bit_length() - 1
-    coeffs = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
-    pairs = coeffs.reshape(-1, 2, 1 << n) * np.array(_PAIR_SIGNS[n])
-    return pairs[:, 0], pairs[:, 1]
 
 
 def encode_pair(state):
@@ -370,8 +363,10 @@ def _random_amplitudes(n, seed, indices):
         bitgen.state = state
         normal(out=row)
     amps = z[:, 0] + 1j * z[:, 1]
-    sq = _slot_sums(np.square(z.T))
-    return amps / np.sqrt(sq[0] + sq[1])[:, None]
+    # Every row's squared norm at once: _norm_sq of the 2**n (N,) columns of
+    # real parts and the 2**n of imaginary parts, each one part of every row.
+    re, im = np.ascontiguousarray(z.transpose(1, 2, 0))
+    return amps / np.sqrt(_norm_sq(re, im))[:, None]
 
 
 def random_state(n, seed, index=0):

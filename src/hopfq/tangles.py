@@ -4,11 +4,12 @@ Everything here goes through reduced density matrices or polynomial
 invariants of the amplitude tensor, so it cross-validates the fibration
 coordinates rather than reusing them.  One state's reductions, separability
 minors and spin-flip Gram are taken in Python floats, from its amplitudes
-with each qubit brought to the front in turn; the one-qubit tangle of many
-states, which sample tables read, is a numpy batch with the same bits.
+with each qubit brought to the front in turn.  Sample tables run the same
+one-qubit tangle kernel on numpy columns, one per amplitude part, and get the
+same bits for each state.
 """
 
-from .cdnum import _slot_sums, np
+from .cdnum import np
 from .states import ShapeError, _front, bring_to_front
 
 SEP_TOL = 1e-9
@@ -16,8 +17,10 @@ SEP_TOL = 1e-9
 
 def _rho_front(front):
     """rho of the first qubit of one state's parts: (|a|^2, |b|^2, Re<a, b>,
-    Im<a, b>), a and b its halves, bit for bit a row of _rho_first: each
-    of its eight slot sums adds from 0.0 in slot order."""
+    Im<a, b>), a and b its halves; each of its eight slot sums adds from 0.0
+    in slot order.  The parts may be a tuple of floats or a list of (N,)
+    float columns, each one part of N states: every operation is
+    elementwise, so a column holds the bits of its state alone."""
     m = len(front) // 2
     g00 = g11 = g22 = g33 = g02 = g13 = g03 = g12 = 0.0
     for ar, ai, br, bi in zip(front[0:m:2], front[1:m:2], front[m::2], front[m + 1::2]):
@@ -33,8 +36,8 @@ def _rho_front(front):
 
 
 def _tau_front(front):
-    """4*det(rho) of the first qubit of one state's parts, bit for bit a
-    row of _tau_first."""
+    """4*det(rho), 4(|a|^2 |b|^2 - |<a, b>|^2), of the first qubit of one
+    state's parts or of each state's in part columns, as _rho_front takes them."""
     aa, bb, ab_re, ab_im = _rho_front(front)
     return 4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))
 
@@ -143,24 +146,6 @@ def two_tangles(state):
     if state.n != 3:
         raise ShapeError("two_tangles is defined for 3 qubits")
     return tuple(_tau_front(_front(state, q)) for q in range(3))
-
-
-def _rho_first(amps):
-    """rho of the first qubit of each row of (N, 2**n) amplitudes, as four
-    (N,) arrays (|a|^2, |b|^2, Re<a, b>, Im<a, b>), a and b the row's halves."""
-    rows, half = len(amps), amps.shape[-1] // 2
-    parts = np.ascontiguousarray(amps).view(np.float64).reshape(rows, 2, half, 2)
-    # c[j, :, n] = (Re a_j, Im a_j, Re b_j, Im b_j) of row n; g sums c c^T
-    # over the slot axis j.
-    c = parts.transpose(2, 1, 3, 0).reshape(half, 4, rows)
-    g = _slot_sums(c[:, :, None] * c[:, None])
-    return g[0, 0] + g[1, 1], g[2, 2] + g[3, 3], g[0, 2] + g[1, 3], g[0, 3] - g[1, 2]
-
-
-def _tau_first(amps):
-    """4*det(rho) of the first qubit of each row: 4(|a|^2 |b|^2 - |<a, b>|^2)."""
-    aa, bb, ab_re, ab_im = _rho_first(amps)
-    return 4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))
 
 
 def tau_one_rest(state, qubit):

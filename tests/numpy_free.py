@@ -1,22 +1,24 @@
-"""The sign-table commands, `analyze` and `verify-paper` need no numpy.  From
-the repository root, with no arguments, on any interpreter, numpy installed
-or not:
+"""The sign-table commands, `analyze` and `verify-paper` need no numpy, and
+`sample` without it is a usage error.  From the repository root, with no
+arguments, on any interpreter, numpy installed or not:
 
     PYTHONPATH=src python -W error tests/numpy_free.py
 
 It prints nothing and exits 0 when every check holds.  The census, the
 product table, `analyze` and `verify-paper`, their usage, input and write
-errors run in this process, which must end with no `numpy.*` module loaded;
+errors run in this process, which must load no `numpy.*` module;
 one `python -m hopfq.cli zero-divisors` child writes into /dev/full, where
 that device exists.  The `verify-paper` tables must hash to VERIFY_DIGESTS,
-which `tests/test_cli.py` pins on interpreters with numpy.  pytest does not
-collect this file: `tests/test_startup.py` runs it.
+which `tests/test_cli.py` pins on interpreters with numpy.  Last, `sample`
+runs: without numpy it must write one error line and exit 2, with numpy its
+table.  pytest does not collect this file: `tests/test_startup.py` runs it.
 """
 
 import contextlib
 import errno
 import hashlib
 import importlib.resources
+import importlib.util
 import io
 import json
 import os
@@ -97,6 +99,15 @@ def check_verify_paper():
                                                    "never hidden)\n"), (code, err)
 
 
+def check_sample():
+    code, out, err = run(["sample", "--qubits", "2", "--count", "2"])
+    if importlib.util.find_spec("numpy") is None:
+        assert (code, out) == (2, "") and err == (
+            "error: sample needs numpy, which is not installed\n"), (code, out, err)
+    else:
+        assert (code, err) == (0, "") and len(out.splitlines()) == 3, (code, out, err)
+
+
 def main():
     # Importing the CLI runs the package's modules, each one its export.
     names = ("cdnum", "states", "braket", "fibration", "tangles", "reporting", "cli")
@@ -139,6 +150,7 @@ def main():
 
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
     assert not loaded, loaded
+    check_sample()
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from hopfq.cdnum import (
     CDElement,
     _conj_coeffs,
     _mul,
+    _sign_rows,
     basis,
     cd_conj,
     cd_inverse,
@@ -19,7 +20,7 @@ from hopfq.cdnum import (
 )
 from hopfq.fibration import (
     BaseCoordinates,
-    _base_coordinates,
+    _base_point,
     _quotient_blocks_2,
     _quotient_blocks_3,
     _quotient_blocks_4,
@@ -33,8 +34,7 @@ from hopfq.reporting import PUBLISHED_STATES, analysis_report
 from hopfq.states import (
     _FRONT,
     PairEncoding,
-    QubitState,
-    _encode_pairs,
+    _pair_parts,
     basis_state,
     bell_state,
     bring_to_front,
@@ -46,7 +46,7 @@ from hopfq.states import (
     random_state,
     w_state,
 )
-from hopfq.tangles import _tau_first, concurrence, partial_trace_to_single, tau_one_rest
+from hopfq.tangles import _tau_front, concurrence, partial_trace_to_single, tau_one_rest
 from conftest import _Complex
 from test_tangles import _apply_local, _draw_haar_or_sparse, _haar_unitary
 
@@ -238,7 +238,8 @@ def _exact_e(g):
 
     The pair encoding of integer amplitudes is exact in doubles, and _mul's
     int8 signs keep object arrays of Fractions exact."""
-    u1, u2 = (np.array([Fraction(c) for c in u[0]], dtype=object) for u in _encode_pairs(g[None]))
+    u1, u2 = (np.array([Fraction(c) for c in u], dtype=object)
+              for u in _pair_parts(g.view(np.float64).tolist()))
     n1, n2 = (u1 * u1).sum(), (u2 * u2).sum()
     delta = (n1 - n2) / (n1 + n2)
     comps = 2 * _mul(u2, _conj_coeffs(u1)) / (n1 + n2)
@@ -647,73 +648,58 @@ def test_tau_matches_measure_front_qubit():
         assert abs(tau_one_rest(s, 0) - e_measure(s)[0]) < 1e-12
 
 
-def _mixed_amplitudes(rng, rows, n):
-    # Real and imaginary parts as in test_cdnum's _mixed_floats: signed
-    # zeros, subnormals and wide magnitudes, here none so large that a
-    # fourth power (n1*n2, aa*bb) overflows.
-    shape = (rows, 1 << n, 2)
-    special = rng.choice([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0], shape)
-    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-60, 60, shape)
-    return np.where(rng.random(shape) < 0.3, special, wide).view(np.complex128)[..., 0]
+def _slot_sum(terms):
+    # From +0.0, one term after another, as every kernel sum adds: a slot of
+    # only -0.0 terms sums to +0.0.
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
-def _sequential_sum(terms):
-    # Left to right, never pairwise: each partial sum rounds in turn.
-    return np.add.accumulate(terms)[-1]
-
-
-@pytest.mark.parametrize("rows", [1, 2, 3, 17, 256])
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_batch_kernels_sum_each_row_alone_in_slot_order(n, rows):
-    # Every row of _base_coordinates and _tau_first is bit for bit that row
-    # computed alone, and its sums add their terms in slot order, the order
-    # the pinned sample digests were made with.
-    rng = np.random.default_rng(10 * n + rows)
-    amps = _mixed_amplitudes(rng, rows, n)
-    bc, tau = _base_coordinates(amps), _tau_first(amps)
-    half = 1 << (n - 1)
-    for row in range(rows):
-        one = amps[row:row + 1]
-        alone = _base_coordinates(one)
-        for field in ("delta", "comps", "e_complement", "e_sum", "norm_defect"):
-            assert getattr(alone, field)[0].tobytes() == getattr(bc, field)[row].tobytes()
-        assert _tau_first(one).tobytes() == tau[row:row + 1].tobytes()
-
-        u1, u2 = (u[0] for u in _encode_pairs(one))
-        p = _mul(u2, _conj_coeffs(u1))
-        n1, n2, p_sq = (_sequential_sum(v * v) for v in (u1, u2, p))
-        assert (n1 - n2).tobytes() == bc.delta[row].tobytes()
-        assert (4.0 * (n1 * n2 - p_sq)).tobytes() == bc.norm_defect[row].tobytes()
-        assert _sequential_sum(bc.comps[row, 2:] ** 2).tobytes() == bc.e_sum[row].tobytes()
-
-        a, b = amps[row, :half], amps[row, half:]
-        c = (a.real, a.imag, b.real, b.imag)
-        g = {(r, s): _sequential_sum(c[r] * c[s]) for r in range(4) for s in range(r, 4)}
-        aa, bb = g[0, 0] + g[1, 1], g[2, 2] + g[3, 3]
-        ab_re, ab_im = g[0, 2] + g[1, 3], g[0, 3] - g[1, 2]
-        assert (4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))).tobytes() == tau[row].tobytes()
+def _reference_point(n, parts):
+    """(delta, comps, e_complement, e_sum, norm_defect, tau) of one state's
+    parts, P = u2 * conj(u1) read term by term off the sign table."""
+    u1, u2 = _pair_parts(parts)
+    y = [u1[0]] + [-x for x in u1[1:]]
+    signs = _sign_rows(n)
+    p = [_slot_sum(signs[a][a ^ k] * (x * y[a ^ k]) for a, x in enumerate(u2))
+         for k in range(1 << n)]
+    n1, n2, p_sq = (_slot_sum(x * x for x in v) for v in (u1, u2, p))
+    comps = [2.0 * x for x in p]
+    delta = n1 - n2
+    e_complement = 1.0 - delta * delta - comps[0] * comps[0] - comps[1] * comps[1]
+    # (Re a, Im a, Re b, Im b) of the halves a and b; g sums c c^T.
+    m = len(parts) // 2
+    c = (parts[0:m:2], parts[1:m:2], parts[m::2], parts[m + 1::2])
+    g = {(r, s): _slot_sum(x * z for x, z in zip(c[r], c[s])) for r in range(4) for s in range(4)}
+    aa, bb = g[0, 0] + g[1, 1], g[2, 2] + g[3, 3]
+    ab_re, ab_im = g[0, 2] + g[1, 3], g[0, 3] - g[1, 2]
+    tau = 4.0 * (aa * bb - (ab_re * ab_re + ab_im * ab_im))
+    return (delta, comps, e_complement, _slot_sum(x * x for x in comps[2:]),
+            4.0 * (n1 * n2 - p_sq), tau)
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 4), data=st.data())
-def test_one_state_in_python_floats_is_its_batch_row(n, data):
-    # One state's report runs in Python floats; sample tables run the numpy
-    # batch kernels.  Every base-map field and every qubit's tau of the one
-    # is bit for bit the other's row, on Haar states and on sparse
-    # signed-zero ones, normalized or as drawn.
-    if data.draw(st.booleans()):
-        s = _draw_haar_or_sparse(data, n)
-    else:
-        parts = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 5e-324]),
-                                   min_size=2 << n, max_size=2 << n))
-        s = QubitState._trusted(n, tuple(parts))
-    bc, batch = base_coordinates(s), _base_coordinates(s.amps[None])
-    for field in ("delta", "comps", "e_complement", "e_sum", "norm_defect"):
-        assert np.float64(getattr(bc, field)).tobytes() == getattr(batch, field)[0].tobytes()
-    fronts = np.array([bring_to_front(s, q).amps for q in range(n)])
-    taus = [tau_one_rest(s, q) for q in range(n)]
-    assert np.array(taus).tobytes() == _tau_first(fronts).tobytes()
-    report = analysis_report(s)
-    assert np.array(report["comps"]).tobytes() == batch.comps[0].tobytes()
-    if n >= 2:
-        assert np.array(report["tau_one_rest"]).tobytes() == _tau_first(fronts).tobytes()
+@given(n=st.integers(1, 4), rows=st.integers(1, 6), data=st.data())
+def test_kernel_columns_are_each_state_alone_in_slot_order(n, rows, data):
+    # sample tables run _base_point and _tau_front on (N,) columns, each one
+    # part of every state.  Column j is bit for bit state j alone, on Haar
+    # states and sparse signed-zero ones, and every sum adds in slot order
+    # from +0.0.  The last state's halves are all +0.0 and all -0.0, so every
+    # term of P's real coefficient is -0.0 and the coefficient +0.0.
+    batch = [_draw_haar_or_sparse(data, n)._parts for _ in range(rows)]
+    batch.append((0.0,) * (1 << n) + (-0.0,) * (1 << n))
+    columns = list(np.ascontiguousarray(np.array(batch).T))
+    bc, tau = _base_point(n, columns), _tau_front(columns)
+    fields = ("delta", "comps", "e_complement", "e_sum", "norm_defect")
+    for j, parts in enumerate(batch):
+        alone = _base_point(n, parts)
+        reference = _reference_point(n, parts)
+        for field, expected in zip(fields, reference):
+            # e_sum at n = 1 is the float 0.0 of every column.
+            batched = np.broadcast_to(getattr(bc, field), np.shape(expected) + (len(batch),))
+            assert (np.array(getattr(alone, field)).tobytes() == batched[..., j].tobytes()
+                    == np.array(expected).tobytes())
+        assert _tau_front(parts).hex() == tau[j].hex() == reference[-1].hex()
+    assert bc.comps[0][-1].hex() == "0x0.0p+0"

@@ -33,8 +33,8 @@ def test_exports_are_pinned():
     assert set(namespace) - {"__builtins__"} == set(EXPORTS)
 
 
-# Calls that would sum floats outside cdnum._slot_sums, in an order numpy or
-# a BLAS chooses.
+# Calls that would sum floats outside cdnum._mul, in an order numpy or a
+# BLAS chooses.
 _SUMMING_NAMES = {
     "einsum", "dot", "matmul", "tensordot", "inner", "vdot", "linalg", "prod", "mean",
     "nansum", "cumsum", "average", "trace",
@@ -46,11 +46,12 @@ _SUMMING_NAMES = {
 _FLOAT_MODULES = {"cdnum.py", "states.py", "fibration.py", "tangles.py"}
 
 
-def test_every_float_sum_goes_through_slot_sums():
-    # README's "Pinned bytes": every per-state sum adds in slot order through
-    # cdnum._slot_sums, and hopfq calls no np.linalg.  So no source file
-    # names an einsum, a product or a reduction, uses @, or calls .sum
-    # anywhere but in _slot_sums; and no float module calls sum() or fsum.
+def test_every_float_sum_adds_in_slot_order():
+    # README's "Pinned bytes": every per-state sum adds from 0.0 in slot
+    # order, in Python floats or elementwise on numpy columns, and only
+    # cdnum._mul reduces with numpy; hopfq calls no np.linalg.  So no source
+    # file names an einsum, a product or a reduction, uses @, or calls .sum
+    # anywhere but in _mul; and no float module calls sum() or fsum.
     found = []
     for path in sorted(pathlib.Path(hopfq.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -64,7 +65,7 @@ def test_every_float_sum_goes_through_slot_sums():
             if name in _SUMMING_NAMES:
                 found.append((where, name))
             if name == "sum" and isinstance(node, ast.Attribute) and not (
-                    path.name == "cdnum.py" and inside.get(id(node)) == "_slot_sums"):
+                    path.name == "cdnum.py" and inside.get(id(node)) == "_mul"):
                 found.append((where, ".sum"))
             if isinstance(getattr(node, "op", None), ast.MatMult):
                 found.append((where, "@"))
@@ -77,15 +78,16 @@ def test_every_float_sum_goes_through_slot_sums():
 
 
 # What the report may take from the modules that compute it: each module's
-# own report fields, and the batch kernels sample_rows runs.  No kernel
-# layout, front-row gather or class rule leaks into reporting.py.
+# own report fields, and the base-point and tau kernels sample_rows runs on
+# columns.  No kernel layout, front-row gather or class rule leaks into
+# reporting.py.
 _REPORTING_IMPORTS = {
-    "fibration": {"_base_coordinates", "_report_fields"},
-    "tangles": {"_report_fields", "_tau_first"},
+    "fibration": {"_base_point", "_report_fields"},
+    "tangles": {"_report_fields", "_tau_front"},
 }
 _KERNEL_NAMES = {
-    "_FRONT", "_front", "_spin_flip_gram", "_separable_front", "_tau_front", "_three_qubit_tangles",
-    "_classify_three", "_base_point", "_e_values", "_ball", "_at_origin", "base_coordinates",
+    "_FRONT", "_front", "_spin_flip_gram", "_separable_front", "_three_qubit_tangles",
+    "_classify_three", "_e_values", "_ball", "_at_origin", "base_coordinates",
 }
 
 

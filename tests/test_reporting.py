@@ -323,9 +323,9 @@ def test_report_computes_base_coordinates_once(monkeypatch):
     calls = []
     base_point = hopfq.fibration._base_point
 
-    def counted(state):
-        calls.append(state)
-        return base_point(state)
+    def counted(n, parts):
+        calls.append(parts)
+        return base_point(n, parts)
 
     monkeypatch.setattr(hopfq.fibration, "_base_point", counted)
     state = random_state(4, seed=5, index=2)

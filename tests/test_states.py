@@ -39,6 +39,7 @@ from hopfq.states import (
     w_state,
     write_state_file,
 )
+from hopfq.reporting import analysis_report, report_to_json
 from conftest import _Complex
 from test_cdnum import _dist, _python_norm_sq
 
@@ -341,6 +342,16 @@ def test_seeds_indices_and_qubit_counts_are_ints():
     same = random_state(np.int64(2), np.uint8(3), np.int32(4))
     assert same.amps.tobytes() == random_state(2, 3, 4).amps.tobytes()
     assert np.array_equal(ghz_state(np.int8(3)).amps, ghz_state(3).amps)
+
+
+def test_numpy_integer_qubit_counts_write_the_json_of_python_ints():
+    # n is held as a Python int: json.dumps writes no numpy integer.
+    for state, plain in ((make_state(np.int64(1), [1, 0]), make_state(1, [1, 0])),
+                         (random_state(np.int64(2), 0), random_state(2, 0)),
+                         (ghz_state(np.int64(3)), ghz_state(3))):
+        assert type(state.n) is int
+        assert state_to_json(state) == state_to_json(plain)
+        assert report_to_json(analysis_report(state)) == report_to_json(analysis_report(plain))
 
 
 def test_basis_state_needs_n_bits():
