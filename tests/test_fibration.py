@@ -34,6 +34,7 @@ from hopfq.reporting import PUBLISHED_STATES, analysis_report
 from hopfq.states import (
     _FRONT,
     PairEncoding,
+    QubitState,
     _pair_parts,
     basis_state,
     bell_state,
@@ -680,6 +681,77 @@ def _reference_point(n, parts):
             4.0 * (n1 * n2 - p_sq), tau)
 
 
+_FIELDS = ("delta", "comps", "e_complement", "e_sum", "norm_defect")
+
+
+def _part_columns(batch):
+    # As sample tables feed the kernels: one contiguous (N,) column per part.
+    return list(np.ascontiguousarray(np.array(batch, dtype=np.float64).T))
+
+
+def _column(values, j, shape, count):
+    # Column j of a kernel field run on count states; e_sum at n = 1 is the
+    # float 0.0 of every column.
+    return np.broadcast_to(values, shape + (count,))[..., j]
+
+
+def _mixed_amplitudes(rng, rows, n):
+    # Real and imaginary parts as in test_cdnum's _mixed_floats: signed
+    # zeros, subnormals and wide magnitudes, here none so large that a
+    # fourth power (n1*n2, aa*bb) overflows.
+    shape = (rows, 1 << n, 2)
+    special = rng.choice([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0], shape)
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-60, 60, shape)
+    return np.where(rng.random(shape) < 0.3, special, wide).view(np.complex128)[..., 0]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 17, 256])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batch_kernels_sum_each_row_alone_in_slot_order(n, rows):
+    # A chunk of a sample table runs _base_point and _tau_front on the part
+    # columns of its states.  On signed zeros, subnormals and wide
+    # magnitudes, every state's column is bit for bit that state computed
+    # alone, and its sums add their terms in slot order from +0.0.
+    amps = _mixed_amplitudes(np.random.default_rng(10 * n + rows), rows, n)
+    columns = list(np.ascontiguousarray(amps.view(np.float64).T))
+    bc, tau = _base_point(n, columns), _tau_front(columns)
+    for row in range(rows):
+        parts = tuple(amps[row].view(np.float64).tolist())
+        alone = _base_point(n, parts)
+        reference = _reference_point(n, parts)
+        for field, expected in zip(_FIELDS, reference):
+            assert (np.array(getattr(alone, field)).tobytes()
+                    == np.asarray(getattr(bc, field))[..., row].tobytes()
+                    == np.array(expected).tobytes())
+        assert _tau_front(parts).hex() == tau[row].hex() == reference[-1].hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_one_state_in_python_floats_is_its_batch_row(n, data):
+    # One state's report runs the kernels on its tuple of Python floats;
+    # sample tables run them on part columns.  Every base-map field and
+    # every qubit's tau of the one is bit for bit the other's row, on Haar
+    # states and on sparse signed-zero ones, normalized or as drawn.
+    if data.draw(st.booleans()):
+        s = _draw_haar_or_sparse(data, n)
+    else:
+        parts = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 5e-324]),
+                                   min_size=2 << n, max_size=2 << n))
+        s = QubitState._trusted(n, tuple(parts))
+    bc, batch = base_coordinates(s), _base_point(n, _part_columns([s._parts]))
+    for field in _FIELDS:
+        one = np.array(getattr(bc, field), dtype=np.float64)
+        assert one.tobytes() == _column(getattr(batch, field), 0, one.shape, 1).tobytes()
+    taus = np.array([tau_one_rest(s, q) for q in range(n)])
+    fronts = _tau_front(_part_columns([bring_to_front(s, q)._parts for q in range(n)]))
+    assert taus.tobytes() == fronts.tobytes()
+    report = analysis_report(s)
+    assert np.array(report["comps"]).tobytes() == _column(batch.comps, 0, (1 << n,), 1).tobytes()
+    if n >= 2:
+        assert np.array(report["tau_one_rest"]).tobytes() == fronts.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 4), rows=st.integers(1, 6), data=st.data())
 def test_kernel_columns_are_each_state_alone_in_slot_order(n, rows, data):
@@ -690,16 +762,14 @@ def test_kernel_columns_are_each_state_alone_in_slot_order(n, rows, data):
     # term of P's real coefficient is -0.0 and the coefficient +0.0.
     batch = [_draw_haar_or_sparse(data, n)._parts for _ in range(rows)]
     batch.append((0.0,) * (1 << n) + (-0.0,) * (1 << n))
-    columns = list(np.ascontiguousarray(np.array(batch).T))
+    columns = _part_columns(batch)
     bc, tau = _base_point(n, columns), _tau_front(columns)
-    fields = ("delta", "comps", "e_complement", "e_sum", "norm_defect")
     for j, parts in enumerate(batch):
         alone = _base_point(n, parts)
         reference = _reference_point(n, parts)
-        for field, expected in zip(fields, reference):
-            # e_sum at n = 1 is the float 0.0 of every column.
-            batched = np.broadcast_to(getattr(bc, field), np.shape(expected) + (len(batch),))
-            assert (np.array(getattr(alone, field)).tobytes() == batched[..., j].tobytes()
+        for field, expected in zip(_FIELDS, reference):
+            batched = _column(getattr(bc, field), j, np.shape(expected), len(batch))
+            assert (np.array(getattr(alone, field)).tobytes() == batched.tobytes()
                     == np.array(expected).tobytes())
         assert _tau_front(parts).hex() == tau[j].hex() == reference[-1].hex()
     assert bc.comps[0][-1].hex() == "0x0.0p+0"
